@@ -115,7 +115,7 @@ func TestGateFailsOnForeignStore(t *testing.T) {
 }
 
 // TestDeclaredMetricsMatchBenchmarkJSON keeps BENCHMARK.json and the
-// harness's metric and workload lists in step.
+// harness's metric lists in step, and every declared workload runnable.
 func TestDeclaredMetricsMatchBenchmarkJSON(t *testing.T) {
 	data, err := os.ReadFile("../BENCHMARK.json")
 	if err != nil {
@@ -142,12 +142,9 @@ func TestDeclaredMetricsMatchBenchmarkJSON(t *testing.T) {
 	}
 	check("end_to_end", bj.EndToEnd, endToEnd)
 	check("per_layer", bj.PerLayer, perLayer)
-	if len(bj.Workloads) != len(workloadOrder) {
-		t.Fatalf("BENCHMARK.json declares %d workloads, the harness %d", len(bj.Workloads), len(workloadOrder))
-	}
-	for i, w := range bj.Workloads {
-		if w.Name != workloadOrder[i] {
-			t.Errorf("workload %d: BENCHMARK.json %s, harness %s", i, w.Name, workloadOrder[i])
+	for _, w := range bj.Workloads {
+		if _, ok := workloads[w.Name]; !ok {
+			t.Errorf("BENCHMARK.json declares workload %s, the harness has no such workload", w.Name)
 		}
 	}
 }
