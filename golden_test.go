@@ -38,31 +38,36 @@ func archiveBytes(t *testing.T, a *core.Archive) []byte {
 	return buf.Bytes()
 }
 
-// indexDigest walks the StIU index in a deterministic order and hashes
-// every stored field, so any change to the built index is detected.
-func indexDigest(ix *stiu.Index) string {
+// indexDigest walks the StIU index of numTrajs trajectories through its
+// accessors in a deterministic order and hashes every stored field, so
+// any change to the built index is detected.
+func indexDigest(t *testing.T, ix *stiu.Index, numTrajs int) string {
+	t.Helper()
 	h := sha256.New()
-	for j, entries := range ix.Temporal {
+	for j := 0; j < numTrajs; j++ {
+		entries, err := ix.TemporalEntries(j)
+		if err != nil {
+			t.Fatal(err)
+		}
 		fmt.Fprintf(h, "T%d:", j)
 		for _, e := range entries {
 			fmt.Fprintf(h, "(%d,%d,%d)", e.Start, e.No, e.Pos)
 		}
 	}
-	ivs := make([]int, 0, len(ix.Intervals))
-	for iv := range ix.Intervals {
-		ivs = append(ivs, iv)
-	}
-	sort.Ints(ivs)
-	for _, iv := range ivs {
-		in := ix.Intervals[iv]
-		fmt.Fprintf(h, "I%d:%v", iv, in.Trajs)
-		res := make([]int, 0, len(in.Regions))
-		for re := range in.Regions {
-			res = append(res, int(re))
+	for _, iv := range ix.IntervalIDs() {
+		trajs, err := ix.Candidates(iv)
+		if err != nil {
+			t.Fatal(err)
 		}
-		sort.Ints(res)
-		for _, re := range res {
-			b := in.Regions[roadnet.RegionID(re)]
+		fmt.Fprintf(h, "I%d:%v", iv, trajs)
+		for re := 0; re < ix.Grid.NumRegions(); re++ {
+			b, err := ix.Buckets(iv, roadnet.RegionID(re))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				continue
+			}
 			fmt.Fprintf(h, "R%d:", re)
 			for _, rt := range b.Refs {
 				fmt.Fprintf(h, "(%d,%d,%d,%d,%d,%g,%g)", rt.Traj, rt.Orig, rt.FV, rt.FVNo, rt.DPos, rt.PTotal, rt.PMax)
@@ -135,7 +140,7 @@ func TestGoldenDatasets(t *testing.T) {
 		}
 		lines = append(lines,
 			fmt.Sprintf("%s archive %s", bu.Profile.Name, shortSHA(ab)),
-			fmt.Sprintf("%s stiu %s", bu.Profile.Name, indexDigest(ix)))
+			fmt.Sprintf("%s stiu %s", bu.Profile.Name, indexDigest(t, ix, len(a.Trajs))))
 	}
 	got := ""
 	for _, l := range lines {

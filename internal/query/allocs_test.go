@@ -18,8 +18,8 @@ type whenWorkload struct {
 	locs []roadnet.Position
 }
 
-// succinct selects an index decoded from a v2 sidecar instead of the
-// built one, so the assertion also covers the rank/select read path.
+// succinct selects an index decoded from its sidecar bytes instead of
+// the built one, so the assertion covers both provenances.
 func buildWhenWorkload(tb testing.TB, succinct bool) *whenWorkload {
 	tb.Helper()
 	p := gen.CD()
@@ -42,11 +42,7 @@ func buildWhenWorkload(tb testing.TB, succinct bool) *whenWorkload {
 		tb.Fatal(err)
 	}
 	if succinct {
-		enc, err := ix.EncodeSidecar(1)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		ix, err = stiu.DecodeSidecar(enc, a.Graph, len(a.Trajs), 1, stiu.Options{GridNX: 16, GridNY: 16, IntervalDur: 1800})
+		ix, err = stiu.DecodeSidecar(ix.EncodeSidecar(1), a.Graph, len(a.Trajs), 1, stiu.Options{GridNX: 16, GridNY: 16, IntervalDur: 1800})
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -246,22 +246,23 @@ func NewEngineWithOptions(a *core.Archive, ix *stiu.Index, o EngineOptions) *Eng
 // queries in the same interval verify the cached entry in O(1) instead of
 // re-running the binary search.  The hint is advisory — a failed
 // verification falls back to the search — so concurrent updates are safe.
-func (e *Engine) findTemporal(j int, t int64) (stiu.TemporalEntry, bool) {
+// A temporal section that fails to decode is an error, not a miss.
+func (e *Engine) findTemporal(j int, t int64) (stiu.TemporalEntry, bool, error) {
 	entries, err := e.Ix.TemporalEntries(j)
 	if err != nil || len(entries) == 0 {
-		return stiu.TemporalEntry{}, false
+		return stiu.TemporalEntry{}, false, err
 	}
 	h := int(e.tempHint[j].Load())
 	if h >= 0 && h < len(entries) && entries[h].Start <= t &&
 		(h+1 >= len(entries) || entries[h+1].Start > t) {
-		return entries[h], true
+		return entries[h], true, nil
 	}
 	lo := sort.Search(len(entries), func(i int) bool { return entries[i].Start > t })
 	if lo == 0 {
-		return stiu.TemporalEntry{}, false
+		return stiu.TemporalEntry{}, false, nil
 	}
 	e.tempHint[j].Store(int32(lo - 1))
-	return entries[lo-1], true
+	return entries[lo-1], true, nil
 }
 
 func (e *Engine) refView(j, orig int) (*core.RefView, error) {
@@ -344,37 +345,38 @@ func (e *Engine) path(j, orig int) (*lazyPath, error) {
 }
 
 // bracket finds i with T[i] <= t <= T[i+1] using the temporal index and a
-// partial decode from t.pos; ok is false when t is outside the trajectory.
-func (e *Engine) bracket(j int, t int64) (i int, ti, ti1 int64, ok bool) {
-	entry, found := e.findTemporal(j, t)
+// partial decode from t.pos; ok is false when t is outside the trajectory,
+// and err reports a temporal index or time stream that fails to decode.
+func (e *Engine) bracket(j int, t int64) (i int, ti, ti1 int64, ok bool, err error) {
+	entry, found, err := e.findTemporal(j, t)
 	if !found {
-		return 0, 0, 0, false
+		return 0, 0, 0, false, err
 	}
 	rec := e.Arch.Trajs[j]
 	if entry.Pos < 0 {
 		// The entry is the final timestamp.
 		if entry.Start == t {
-			return int(entry.No), t, t, true
+			return int(entry.No), t, t, true, nil
 		}
-		return 0, 0, 0, false
+		return 0, 0, 0, false, nil
 	}
 	var cur core.TimeCursor
 	if err := rec.ResetTimeCursor(&cur, e.Arch.Opts.Ts, int(entry.Pos), entry.Start, int(entry.No)); err != nil {
-		return 0, 0, 0, false
+		return 0, 0, 0, false, err
 	}
 	prevT := cur.T()
 	prevI := cur.Index()
 	for cur.Next() {
 		if cur.T() >= t {
-			return prevI, prevT, cur.T(), true
+			return prevI, prevT, cur.T(), true, nil
 		}
 		prevT = cur.T()
 		prevI = cur.Index()
 	}
 	if prevT == t {
-		return prevI, prevT, prevT, true
+		return prevI, prevT, prevT, true, nil
 	}
-	return 0, 0, 0, false
+	return 0, 0, 0, false, nil
 }
 
 // timeAt partially decodes T[k] (and T[k+1] when wantNext) by resuming at
@@ -414,9 +416,9 @@ func (e *Engine) timeAt(j, k int, wantNext bool) (tk, tk1 int64, err error) {
 // Where implements the probabilistic where query (Definition 10): the
 // locations at time t of the instances with probability >= alpha.
 func (e *Engine) Where(j int, t int64, alpha float64) ([]WhereResult, error) {
-	i, ti, ti1, ok := e.bracket(j, t)
+	i, ti, ti1, ok, err := e.bracket(j, t)
 	if !ok {
-		return nil, nil
+		return nil, err
 	}
 	rec := e.Arch.Trajs[j]
 	var out []WhereResult
@@ -643,7 +645,10 @@ func (e *Engine) AppendRange(dst []int, re roadnet.Rect, t int64, alpha float64)
 			}
 		}
 
-		i, ti, ti1, ok := e.bracket(j, t)
+		i, ti, ti1, ok, err := e.bracket(j, t)
+		if err != nil {
+			return dst, err
+		}
 		if !ok {
 			continue
 		}

@@ -1,6 +1,8 @@
 package query
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -11,10 +13,9 @@ import (
 	"utcq/internal/stiu"
 )
 
-// succinctVariants builds three engines over the same archive whose StIU
-// indexes differ only in provenance: built in memory (no sidecar), decoded
-// from a v1 sidecar (eager temporal, monolithic lazy blocks), and decoded
-// from a v2 sidecar (rank/select + lazy temporal sections).
+// succinctVariants builds two engines over the same archive whose StIU
+// indexes differ only in provenance: built in memory, and reopened from
+// the built index's sidecar bytes.
 func succinctVariants(t *testing.T, p gen.Profile, n int, seed int64) (*gen.Dataset, []struct {
 	name string
 	eng  *Engine
@@ -38,19 +39,7 @@ func succinctVariants(t *testing.T, p gen.Profile, n int, seed int64) (*gen.Data
 	if err != nil {
 		t.Fatal(err)
 	}
-	encV1, err := built.EncodeSidecarV1(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encV2, err := built.EncodeSidecar(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1, err := stiu.DecodeSidecar(encV1, a.Graph, len(a.Trajs), 1, sopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := stiu.DecodeSidecar(encV2, a.Graph, len(a.Trajs), 1, sopts)
+	reopened, err := stiu.DecodeSidecar(built.EncodeSidecar(1), a.Graph, len(a.Trajs), 1, sopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,16 +48,15 @@ func succinctVariants(t *testing.T, p gen.Profile, n int, seed int64) (*gen.Data
 		eng  *Engine
 	}{
 		{"built", NewEngine(a, built)},
-		{"v1", NewEngine(a, v1)},
-		{"v2", NewEngine(a, v2)},
+		{"reopened", NewEngine(a, reopened)},
 	}
 }
 
-// TestSuccinctPruningEquivalence pins succinct pruning ≡ materialized
-// pruning on all three synthetic road networks: the same query workload
-// must return identical results from a built index, a v1-sidecar index
-// and a v2-sidecar index — and take identical pruning decisions, observed
-// through the TrajsPruned / InstancesSkipped counters.
+// TestSuccinctPruningEquivalence pins built ≡ reopened on all three
+// synthetic road networks: the same query workload must return identical
+// results from a built index and from one reopened from its sidecar —
+// and take identical pruning decisions, observed through the
+// TrajsPruned / InstancesSkipped counters.
 func TestSuccinctPruningEquivalence(t *testing.T) {
 	profiles := []struct {
 		name string
@@ -163,5 +151,58 @@ func TestSuccinctPruningEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCorruptTemporalSectionIsAnError: a trajectory whose temporal
+// section fails to decode must fail Where and any Range that reaches it,
+// never answer as if the query time were outside the trajectory.  The
+// corruption goes straight into the encoding (no sidecar CRC in the way):
+// the section's entry count is raised past its span.
+func TestCorruptTemporalSectionIsAnError(t *testing.T) {
+	p := gen.CD()
+	p.Network.Cols, p.Network.Rows = 24, 24
+	ds, err := gen.Build(p, 12, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.NewCompressor(ds.Graph, core.DefaultOptions(p.Ts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := c.Compress(ds.Trajectories)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sopts := stiu.Options{GridNX: 16, GridNY: 16, IntervalDur: 1800}
+	built, err := stiu.Build(a, sopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := bytes.Clone(built.EncodeSidecar(1))
+
+	// FORMAT.md §5.1: after the 35-byte header, (numTrajs+1) u32 offsets,
+	// then the blob; a section starts with its uvarint entry count.
+	const j = 3
+	n := len(a.Trajs)
+	blob := 35 + 4*(n+1)
+	span := blob + int(binary.LittleEndian.Uint32(enc[35+4*j:]))
+	if enc[span] >= 0x7f {
+		t.Fatalf("fixture: trajectory %d has %d entries", j, enc[span])
+	}
+	enc[span] = 0x7f
+	ix, err := stiu.DecodeSidecar(enc, a.Graph, n, 1, sopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(a, ix)
+
+	T := ds.Trajectories[j].T
+	tq := (T[0] + T[len(T)-1]) / 2
+	if got, err := eng.Where(j, tq, 0); err == nil {
+		t.Fatalf("Where on a corrupt temporal section = %v, nil error", got)
+	}
+	if got, err := eng.Range(ds.Graph.Bounds(), tq, 0); err == nil {
+		t.Fatalf("Range over a corrupt temporal section = %v, nil error", got)
 	}
 }

@@ -124,17 +124,12 @@ func (bv *bitvec) rank1(i int) int {
 	return r
 }
 
-// appendOnes appends the positions of every set bit in ascending order,
-// the iteration Materialize uses to rebuild the region maps.
-func (bv *bitvec) appendOnes(dst []int32) []int32 {
-	for w := 0; w*64 < bv.nbits; w++ {
-		v := binary.LittleEndian.Uint64(bv.words[8*w:])
-		for v != 0 {
-			dst = append(dst, int32(w*64+bits.TrailingZeros64(v)))
-			v &= v - 1
-		}
+// orInto ORs the view's words into dst, which holds at least as many
+// words: Bounds unions occupancy across intervals this way.
+func (bv *bitvec) orInto(dst []uint64) {
+	for w := range dst[:len(bv.words)/8] {
+		dst[w] |= binary.LittleEndian.Uint64(bv.words[8*w:])
 	}
-	return dst
 }
 
 // sizeBytes is the succinct footprint of the view (words + superblocks).

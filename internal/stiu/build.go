@@ -5,8 +5,159 @@ import (
 	"sort"
 
 	"utcq/internal/core"
+	"utcq/internal/par"
 	"utcq/internal/roadnet"
 )
+
+// builder holds the walk and merge phases' state: the index as plain
+// maps, which Build encodes in the sidecar layout and then drops.
+type builder struct {
+	opts       Options
+	grid       *roadnet.Grid
+	temporal   [][]TemporalEntry
+	intervals  map[int]*builtInterval
+	trajRegion []map[roadnet.RegionID]*RegionBucket
+}
+
+// builtInterval is one time partition under construction.
+type builtInterval struct {
+	trajs   []int32 // trajectories whose time span intersects the interval
+	regions map[roadnet.RegionID]*RegionBucket
+}
+
+func (bd *builder) intervalOf(t int64) int { return int(t / bd.opts.IntervalDur) }
+
+// Build constructs the index from a compressed archive.  Building happens
+// at compression time (the paper builds StIU "during compression"), so it
+// may decode records freely.
+//
+// Construction has two phases.  The walk phase decodes each trajectory's
+// instance traversals and produces a per-trajectory tuple batch; walks are
+// independent, so they run on a bounded worker pool (Options.Parallelism).
+// The merge phase folds the batches into the grid/interval cells, sharded
+// by interval id so shards never touch the same cell.  Both phases apply
+// batches in trajectory order, so the index is identical to a serial build.
+//
+// The phases' maps are temporaries: Build encodes them in the sidecar
+// layout, with archive size 0 (EncodeSidecar stamps the real one), and
+// returns the index decoded from those bytes, so a built index and one
+// loaded from a sidecar are the same structure.
+func Build(a *core.Archive, opts Options) (*Index, error) {
+	if opts.GridNX < 1 || opts.GridNY < 1 || opts.IntervalDur < 1 {
+		return nil, fmt.Errorf("stiu: invalid options %+v", opts)
+	}
+	bd := &builder{
+		opts:       opts,
+		grid:       roadnet.NewGrid(a.Graph, opts.GridNX, opts.GridNY),
+		temporal:   make([][]TemporalEntry, len(a.Trajs)),
+		intervals:  make(map[int]*builtInterval),
+		trajRegion: make([]map[roadnet.RegionID]*RegionBucket, len(a.Trajs)),
+	}
+	workers := par.Workers(opts.Parallelism)
+
+	// Walk phase: per-trajectory batches, plus the per-trajectory index
+	// parts (temporal entries, trajectory-region buckets) that no other
+	// worker touches.
+	batches := make([]*trajBatch, len(a.Trajs))
+	err := par.Do(workers, len(a.Trajs), func(j int) error {
+		b, err := bd.walkTrajectory(a, j)
+		if err != nil {
+			return fmt.Errorf("stiu: trajectory %d: %w", j, err)
+		}
+		batches[j] = b
+		bd.temporal[j] = b.temporal
+		bd.trajRegion[j] = b.trajRegion
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	bd.mergeBatches(batches, workers)
+
+	// Sort interval trajectory lists and deduplicate.
+	for _, iv := range bd.intervals {
+		sort.Slice(iv.trajs, func(x, y int) bool { return iv.trajs[x] < iv.trajs[y] })
+		iv.trajs = dedupInt32(iv.trajs)
+	}
+
+	data, err := bd.encode()
+	if err != nil {
+		return nil, err
+	}
+	return DecodeSidecar(data, a.Graph, len(a.Trajs), 0, opts)
+}
+
+// mergeBatches folds the walk batches into the interval map.  Each shard
+// owns the intervals with id ≡ shard (mod shards) and applies every batch
+// in trajectory order, so no two shards write the same cell and the tuple
+// order within each cell matches a serial build exactly.
+func (bd *builder) mergeBatches(batches []*trajBatch, shards int) {
+	if shards < 1 {
+		shards = 1
+	}
+	mod := func(iv int) int { return ((iv % shards) + shards) % shards }
+	parts := make([]map[int]*builtInterval, shards)
+	// Shard counts are small; par.Do with error-free work never fails.
+	_ = par.Do(shards, shards, func(s int) error {
+		m := make(map[int]*builtInterval)
+		get := func(id int) *builtInterval {
+			iv := m[id]
+			if iv == nil {
+				iv = &builtInterval{regions: make(map[roadnet.RegionID]*RegionBucket)}
+				m[id] = iv
+			}
+			return iv
+		}
+		for j, b := range batches {
+			for iv := b.firstIv; iv <= b.lastIv; iv++ {
+				if mod(iv) != s {
+					continue
+				}
+				in := get(iv)
+				in.trajs = append(in.trajs, int32(j))
+			}
+			for _, e := range b.emits {
+				if mod(e.interval) != s {
+					continue
+				}
+				bk := bucketOf(get(e.interval).regions, e.re)
+				if e.isRef {
+					bk.Refs = append(bk.Refs, e.ref)
+				} else {
+					bk.NonRefs = append(bk.NonRefs, e.nonRef)
+				}
+			}
+		}
+		parts[s] = m
+		return nil
+	})
+	for _, m := range parts {
+		for id, iv := range m {
+			bd.intervals[id] = iv
+		}
+	}
+}
+
+// bucketOf returns (creating if needed) the bucket of region re in m.
+func bucketOf(m map[roadnet.RegionID]*RegionBucket, re roadnet.RegionID) *RegionBucket {
+	b := m[re]
+	if b == nil {
+		b = &RegionBucket{}
+		m[re] = b
+	}
+	return b
+}
+
+func dedupInt32(xs []int32) []int32 {
+	out := xs[:0]
+	for i, x := range xs {
+		if i == 0 || x != out[len(out)-1] {
+			out = append(out, x)
+		}
+	}
+	return out
+}
 
 // instWalk is the decoded traversal of one instance used during index
 // construction: edge-aligned entries, vertices, and region visits.
@@ -56,9 +207,9 @@ type spatialEmit struct {
 }
 
 // walkTrajectory decodes trajectory j and produces its tuple batch.  It
-// only reads the archive (never the index maps), so any number of walks
-// may run concurrently.
-func (ix *Index) walkTrajectory(a *core.Archive, j int) (*trajBatch, error) {
+// only reads the archive (never the builder's maps), so any number of
+// walks may run concurrently.
+func (bd *builder) walkTrajectory(a *core.Archive, j int) (*trajBatch, error) {
 	rec := a.Trajs[j]
 	b := &trajBatch{trajRegion: make(map[roadnet.RegionID]*RegionBucket)}
 
@@ -77,7 +228,7 @@ func (ix *Index) walkTrajectory(a *core.Archive, j int) (*trajBatch, error) {
 	}
 	lastInterval := -1
 	for i, t := range T {
-		iv := ix.IntervalOf(t)
+		iv := bd.intervalOf(t)
 		if iv != lastInterval {
 			pos := int32(-1)
 			if i < len(rec.TDeltaPos) {
@@ -87,7 +238,7 @@ func (ix *Index) walkTrajectory(a *core.Archive, j int) (*trajBatch, error) {
 			lastInterval = iv
 		}
 	}
-	b.firstIv, b.lastIv = ix.IntervalOf(T[0]), ix.IntervalOf(T[len(T)-1])
+	b.firstIv, b.lastIv = bd.intervalOf(T[0]), bd.intervalOf(T[len(T)-1])
 
 	// Decode instance walks.
 	walks := make([]*instWalk, 0, len(rec.Insts))
@@ -101,7 +252,7 @@ func (ix *Index) walkTrajectory(a *core.Archive, j int) (*trajBatch, error) {
 			return nil, err
 		}
 		refViews[orig] = rv
-		w, err := ix.walkInstance(a, rv.SV, rv.E, rv.FullTF(), nil, nil)
+		w, err := bd.walkInstance(a, rv.SV, rv.E, rv.FullTF(), nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -125,7 +276,7 @@ func (ix *Index) walkTrajectory(a *core.Archive, j int) (*trajBatch, error) {
 		if err != nil {
 			return nil, err
 		}
-		w, err := ix.walkInstance(a, ref.SV, e, tf, nv.EFactors, nv.EFactorPos)
+		w, err := bd.walkInstance(a, ref.SV, e, tf, nv.EFactors, nv.EFactorPos)
 		if err != nil {
 			return nil, err
 		}
@@ -151,14 +302,14 @@ func (ix *Index) walkTrajectory(a *core.Archive, j int) (*trajBatch, error) {
 	sort.Ints(groupKeys)
 
 	for _, refOrig := range groupKeys {
-		ix.emitGroupTuples(b, j, refOrig, groups[refOrig], refViews[refOrig], T)
+		bd.emitGroupTuples(b, j, refOrig, groups[refOrig], refViews[refOrig], T)
 	}
 	return b, nil
 }
 
 // walkInstance decodes the traversal: region visits with final vertices and
 // point counts, plus factor spans for non-references.
-func (ix *Index) walkInstance(a *core.Archive, sv roadnet.VertexID, E []uint16, tf []bool, factors []core.EFactor, factorPos []int) (*instWalk, error) {
+func (bd *builder) walkInstance(a *core.Archive, sv roadnet.VertexID, E []uint16, tf []bool, factors []core.EFactor, factorPos []int) (*instWalk, error) {
 	g := a.Graph
 	w := &instWalk{}
 	curVertex := sv
@@ -180,7 +331,7 @@ func (ix *Index) walkInstance(a *core.Archive, sv roadnet.VertexID, E []uint16, 
 			prevEdgeEntry := lastEdgeEntry
 			lastEdgeEntry = i
 			curVertex = g.Edge(e).To
-			for _, re := range ix.Grid.CellsOfEdge(g, e) {
+			for _, re := range bd.grid.CellsOfEdge(g, e) {
 				if re == curRegion {
 					continue
 				}
@@ -236,7 +387,7 @@ func (ix *Index) walkInstance(a *core.Archive, sv roadnet.VertexID, E []uint16, 
 // emitGroupTuples aggregates the group's visits into per-(interval, region)
 // reference and non-reference tuples, appending interval-cell tuples to the
 // batch's emit list and per-trajectory tuples to its trajRegion buckets.
-func (ix *Index) emitGroupTuples(b *trajBatch, j, refOrig int, members []*instWalk, refView *core.RefView, T []int64) {
+func (bd *builder) emitGroupTuples(b *trajBatch, j, refOrig int, members []*instWalk, refView *core.RefView, T []int64) {
 	type key struct {
 		interval int
 		re       roadnet.RegionID
@@ -251,12 +402,12 @@ func (ix *Index) emitGroupTuples(b *trajBatch, j, refOrig int, members []*instWa
 	var keysInOrder []key
 
 	intervalsOf := func(v *visit) []int {
-		a0 := ix.IntervalOf(T[v.pointIdx])
+		a0 := bd.intervalOf(T[v.pointIdx])
 		next := v.pointIdx + 1
 		if next >= len(T) {
 			next = len(T) - 1
 		}
-		a1 := ix.IntervalOf(T[next])
+		a1 := bd.intervalOf(T[next])
 		if a1 == a0 {
 			return []int{a0}
 		}
@@ -317,7 +468,7 @@ func (ix *Index) emitGroupTuples(b *trajBatch, j, refOrig int, members []*instWa
 			}
 		}
 		b.emits = append(b.emits, spatialEmit{interval: k.interval, re: k.re, isRef: true, ref: rt})
-		tb := b.bucket(k.re)
+		tb := bucketOf(b.trajRegion, k.re)
 		tb.Refs = append(tb.Refs, rt)
 	}
 
@@ -350,21 +501,10 @@ func (ix *Index) emitGroupTuples(b *trajBatch, j, refOrig int, members []*instWa
 			for _, iv := range intervalsOf(v) {
 				b.emits = append(b.emits, spatialEmit{interval: iv, re: v.re, isRef: false, nonRef: nt})
 			}
-			tb := b.bucket(v.re)
+			tb := bucketOf(b.trajRegion, v.re)
 			tb.NonRefs = append(tb.NonRefs, nt)
 		}
 	}
-}
-
-// bucket returns (creating if needed) the batch's per-trajectory bucket of
-// region re.
-func (b *trajBatch) bucket(re roadnet.RegionID) *RegionBucket {
-	bk := b.trajRegion[re]
-	if bk == nil {
-		bk = &RegionBucket{}
-		b.trajRegion[re] = bk
-	}
-	return bk
 }
 
 // factorOf returns the factor index whose entry span contains off.

@@ -1,69 +1,118 @@
-// Sidecar persistence for the StIU index ("UTCI" format, FORMAT.md §5).
+// Sidecar encoding of the StIU index ("UTCI" version 2, FORMAT.md §5),
+// the one representation every index has: Build encodes its maps into it
+// and queries the result, and a store persists the same bytes so that
+// opening a shard never replays the O(archive) Build walk.
 //
-// A sidecar freezes a built index so that opening a shard never replays
-// the O(archive) Build walk.  The temporal index and the per-interval
-// candidate sets decode eagerly (they are small and every query's pruning
-// touches them); the per-(interval,region) and per-trajectory region
-// buckets stay as encoded blocks inside the sidecar buffer and
-// materialize on first touch, so Lemma-1/2 pruning over cold intervals
-// costs nothing.  When the buffer is a memory mapping, untouched blocks
-// never even page in.
+// The layout answers Lemma-1/2 pruning straight off the (possibly
+// memory-mapped) bytes:
+//
+//   - a fixed-width u32 offset directory over per-trajectory temporal
+//     sections, so decoding a sidecar decodes no temporal entry and
+//     trajectory j's section decodes on its first When/FindTemporal touch;
+//   - per interval, an Elias–Fano candidate set plus a rank bitvector over
+//     the grid's region occupancy and a u32 offset table into individually
+//     encoded region buckets, so a Range probe of an absent (interval,
+//     region) pair is a bit test and a present pair decodes only its own
+//     bucket;
+//   - the same bitvector + offset-table shape per trajectory for the
+//     When path's Lemma-1 gate, behind a per-trajectory directory.
+//
+// All directories are fixed-width and verified at decode (monotone span
+// checks happen lazily per section), so DecodeSidecar's work is O(header
+// + interval count), independent of temporal-entry and tuple counts.
 //
 // The encoding is deterministic: intervals and regions are emitted in
-// ascending id order and tuple slices keep their build order, so
-// re-encoding a freshly built index is byte-stable.  An index decoded
-// from a sidecar keeps the original buffer and returns it verbatim from
-// EncodeSidecar.
+// ascending id order and tuple slices keep their build order, so two
+// builds of one archive encode byte-identically.
 package stiu
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
 	"sort"
+	"sync/atomic"
 
 	"utcq/internal/bitio"
 	"utcq/internal/roadnet"
 )
 
 const (
-	sidecarMagic     = "UTCI"
-	sidecarVersion   = 2
-	sidecarVersionV1 = 1
-	sidecarHdrLen    = 35
+	sidecarMagic   = "UTCI"
+	sidecarVersion = 2
+	sidecarHdrLen  = 35
+	sidecarSizeOff = 27 // offset of the u64 archiveSize header field
 )
 
 // ErrSidecarMismatch reports a sidecar that is well-formed but was written
 // for a different archive or index geometry.
 var ErrSidecarMismatch = fmt.Errorf("stiu: sidecar does not match archive")
 
-// EncodeSidecar serializes the index for an archive of archiveSize bytes
-// in the current (v2) layout.  An index decoded from a sidecar — v1 or
-// v2 — for the same archive size returns its original buffer unchanged.
-func (ix *Index) EncodeSidecar(archiveSize int64) ([]byte, error) {
-	if ix.raw != nil {
-		if sz, ok := sidecarArchiveSize(ix.raw); ok && sz == archiveSize {
-			return ix.raw, nil
-		}
+// EncodeSidecar returns the index's sidecar bytes bound to an archive of
+// archiveSize bytes: the buffer the index reads from, or a copy of it
+// with the header's archiveSize field restamped when that differs (a
+// built index carries 0).  Callers must not modify the result.
+func (ix *Index) EncodeSidecar(archiveSize int64) []byte {
+	if int64(binary.LittleEndian.Uint64(ix.raw[sidecarSizeOff:])) == archiveSize {
+		return ix.raw
 	}
-	if err := ix.Materialize(); err != nil {
-		return nil, err
-	}
-	return ix.encodeSidecarV2(archiveSize)
+	out := bytes.Clone(ix.raw)
+	binary.LittleEndian.PutUint64(out[sidecarSizeOff:], uint64(archiveSize))
+	return out
 }
 
-// appendSidecarHeader emits the 35-byte header shared by both versions.
-func (ix *Index) appendSidecarHeader(buf []byte, version uint16, archiveSize int64) []byte {
+// encode serializes the builder's maps with archive size 0.
+func (bd *builder) encode() ([]byte, error) {
+	buf := make([]byte, 0, 1<<16)
 	buf = append(buf, sidecarMagic...)
-	buf = binary.LittleEndian.AppendUint16(buf, version)
+	buf = binary.LittleEndian.AppendUint16(buf, sidecarVersion)
 	buf = append(buf, 0) // flags
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(ix.Opts.GridNX))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(ix.Opts.GridNY))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(ix.Opts.IntervalDur))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ix.Temporal)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(archiveSize))
-	return buf
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(bd.opts.GridNX))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(bd.opts.GridNY))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(bd.opts.IntervalDur))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(bd.temporal)))
+	buf = binary.LittleEndian.AppendUint64(buf, 0) // archiveSize
+	nbits := bd.opts.GridNX * bd.opts.GridNY
+
+	// Temporal section: (numTrajs+1) u32 offsets, then the blobs.
+	var err error
+	if buf, err = appendDirectory(buf, len(bd.temporal), func(blob []byte, j int) ([]byte, error) {
+		return appendTemporalEntries(blob, bd.temporal[j]), nil
+	}); err != nil {
+		return nil, fmt.Errorf("stiu: temporal section: %w", err)
+	}
+
+	// Interval section, ascending id order.
+	ids := make([]int, 0, len(bd.intervals))
+	for id := range bd.intervals {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	buf = binary.AppendUvarint(buf, uint64(len(ids)))
+	prevID := 0
+	for i, id := range ids {
+		if i == 0 {
+			buf = binary.AppendVarint(buf, int64(id))
+		} else {
+			buf = binary.AppendUvarint(buf, uint64(id-prevID))
+		}
+		prevID = id
+		iv := bd.intervals[id]
+		buf = appendEFSet(buf, iv.trajs)
+		if buf, err = appendBucketLayout(buf, nbits, iv.regions); err != nil {
+			return nil, fmt.Errorf("stiu: interval %d: %w", id, err)
+		}
+	}
+
+	// Trajectory-region section: directory + per-trajectory layouts.
+	if buf, err = appendDirectory(buf, len(bd.trajRegion), func(blob []byte, j int) ([]byte, error) {
+		return appendBucketLayout(blob, nbits, bd.trajRegion[j])
+	}); err != nil {
+		return nil, fmt.Errorf("stiu: trajRegion section: %w", err)
+	}
+	return buf, nil
 }
 
 // appendTemporalEntries emits one trajectory's temporal section: a
@@ -84,71 +133,101 @@ func appendTemporalEntries(buf []byte, entries []TemporalEntry) []byte {
 	return buf
 }
 
-// sortedIntervalIDs returns the interval ids in ascending order, the
-// deterministic emission order of both encoders.
-func (ix *Index) sortedIntervalIDs() []int {
-	ids := make([]int, 0, len(ix.Intervals))
-	for id := range ix.Intervals {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
-// EncodeSidecarV1 serializes the index in the legacy v1 layout (eager
-// temporal section, per-interval monolithic region blocks).  Kept so the
-// compatibility tests can mint v1 sidecars; the write path uses v2.
-func (ix *Index) EncodeSidecarV1(archiveSize int64) ([]byte, error) {
-	if err := ix.Materialize(); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 0, 1<<16)
-	buf = ix.appendSidecarHeader(buf, sidecarVersionV1, archiveSize)
-
-	// Temporal section.
-	for _, entries := range ix.Temporal {
-		buf = appendTemporalEntries(buf, entries)
-	}
-
-	// Interval section, ascending id order.
-	ids := ix.sortedIntervalIDs()
-	buf = binary.AppendUvarint(buf, uint64(len(ids)))
-	prevID := 0
-	for i, id := range ids {
-		if i == 0 {
-			buf = binary.AppendVarint(buf, int64(id))
-		} else {
-			buf = binary.AppendUvarint(buf, uint64(id-prevID))
+// appendDirectory emits n fixed-width u32 offsets plus a terminator over
+// the blobs produced by emit, then the concatenated blobs themselves.
+func appendDirectory(buf []byte, n int, emit func(blob []byte, i int) ([]byte, error)) ([]byte, error) {
+	blob := make([]byte, 0, 1<<12)
+	offs := make([]uint32, 1, n+1)
+	var err error
+	for i := 0; i < n; i++ {
+		if blob, err = emit(blob, i); err != nil {
+			return nil, err
 		}
-		prevID = id
-		iv := ix.Intervals[id]
-		buf = appendEFSet(buf, iv.Trajs)
-		block := encodeRegionBlock(iv.Regions)
-		buf = binary.AppendUvarint(buf, uint64(len(block)))
-		buf = append(buf, block...)
+		if len(blob) > math.MaxUint32 {
+			return nil, fmt.Errorf("section exceeds u32 offset space (%d bytes)", len(blob))
+		}
+		offs = append(offs, uint32(len(blob)))
 	}
-
-	// Trajectory-region section.
-	for _, m := range ix.byTrajRegion {
-		block := encodeRegionBlock(m)
-		buf = binary.AppendUvarint(buf, uint64(len(block)))
-		buf = append(buf, block...)
+	for _, o := range offs {
+		buf = binary.LittleEndian.AppendUint32(buf, o)
 	}
-	return buf, nil
+	return append(buf, blob...), nil
 }
 
-// sidecarArchiveSize reads the bound archive size from a sidecar header.
-func sidecarArchiveSize(data []byte) (int64, bool) {
-	if len(data) < sidecarHdrLen || string(data[:4]) != sidecarMagic {
-		return 0, false
+// appendBucketLayout emits one succinct bucket group: occupancy bitvector
+// over nbits regions, (npop+1) u32 offsets, and the concatenated bucket
+// encodings in ascending region-id (= rank) order.
+func appendBucketLayout(buf []byte, nbits int, m map[roadnet.RegionID]*RegionBucket) ([]byte, error) {
+	ids := make([]int32, 0, len(m))
+	for id := range m {
+		if id < 0 || int(id) >= nbits {
+			return nil, fmt.Errorf("region id %d outside %d-cell grid", id, nbits)
+		}
+		ids = append(ids, int32(id))
 	}
-	return int64(binary.LittleEndian.Uint64(data[27:35])), true
+	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	buf = appendBitvec(buf, nbits, ids)
+	blob := make([]byte, 0, 64*len(ids))
+	offs := make([]uint32, 1, len(ids)+1)
+	for _, id := range ids {
+		blob = appendBucket(blob, m[roadnet.RegionID(id)])
+		if len(blob) > math.MaxUint32 {
+			return nil, fmt.Errorf("bucket blob exceeds u32 offset space (%d bytes)", len(blob))
+		}
+		offs = append(offs, uint32(len(blob)))
+	}
+	for _, o := range offs {
+		buf = binary.LittleEndian.AppendUint32(buf, o)
+	}
+	return append(buf, blob...), nil
 }
 
-// DecodeSidecar rebuilds an index from sidecar bytes (v1 or v2).  The
-// buffer may be a read-only memory mapping; decoded structures alias it,
-// so it must stay valid for the index's lifetime.  Any mismatch with the
-// expected geometry or archive returns an error — callers fall back to
+// directory slices one fixed-width u32 offset directory and the blob it
+// spans; per-entry monotonicity is checked lazily on first touch.
+func (r *sidecarReader) directory(n int) (dir, blob []byte, err error) {
+	dir, err = r.take((n + 1) * 4)
+	if err != nil {
+		return nil, nil, err
+	}
+	if binary.LittleEndian.Uint32(dir) != 0 {
+		return nil, nil, fmt.Errorf("directory does not start at offset 0")
+	}
+	blob, err = r.take(int(binary.LittleEndian.Uint32(dir[4*n:])))
+	if err != nil {
+		return nil, nil, err
+	}
+	return dir, blob, nil
+}
+
+// bucketLayout parses one succinct bucket group: verified bitvector,
+// offset table, bucket blob.  Slicing and verification only — buckets
+// stay encoded.
+func (r *sidecarReader) bucketLayout(universe int) (bucketLayout, error) {
+	occ, err := r.bitvec(universe)
+	if err != nil {
+		return bucketLayout{}, err
+	}
+	offs, err := r.take((occ.npop + 1) * 4)
+	if err != nil {
+		return bucketLayout{}, err
+	}
+	if binary.LittleEndian.Uint32(offs) != 0 {
+		return bucketLayout{}, fmt.Errorf("bucket offsets do not start at 0")
+	}
+	blob, err := r.take(int(binary.LittleEndian.Uint32(offs[4*occ.npop:])))
+	if err != nil {
+		return bucketLayout{}, err
+	}
+	return bucketLayout{occ: occ, offs: offs, buckets: blob, decoded: make([]atomic.Pointer[RegionBucket], occ.npop)}, nil
+}
+
+// DecodeSidecar returns the index stored in sidecar bytes, parsing only
+// the header, the directories and the interval skeleton: temporal
+// sections, candidate sets, per-trajectory region layouts and every
+// region bucket stay on the buffer until first touch.  The buffer may be
+// a read-only memory mapping; the index aliases it, so it must stay valid
+// for the index's lifetime.  Any mismatch with the expected geometry or
+// archive, and any version but 2, returns an error — callers fall back to
 // Build.
 func DecodeSidecar(data []byte, g *roadnet.Graph, numTrajs int, archiveSize int64, opts Options) (*Index, error) {
 	if len(data) < sidecarHdrLen {
@@ -157,9 +236,8 @@ func DecodeSidecar(data []byte, g *roadnet.Graph, numTrajs int, archiveSize int6
 	if string(data[:4]) != sidecarMagic {
 		return nil, fmt.Errorf("stiu: bad sidecar magic %q", data[:4])
 	}
-	version := binary.LittleEndian.Uint16(data[4:6])
-	if version != sidecarVersionV1 && version != sidecarVersion {
-		return nil, fmt.Errorf("stiu: unsupported sidecar version %d", version)
+	if version := binary.LittleEndian.Uint16(data[4:6]); version != sidecarVersion {
+		return nil, fmt.Errorf("stiu: unsupported sidecar version %d (want %d)", version, sidecarVersion)
 	}
 	if data[6] != 0 {
 		return nil, fmt.Errorf("stiu: unsupported sidecar flags %#x", data[6])
@@ -168,7 +246,7 @@ func DecodeSidecar(data []byte, g *roadnet.Graph, numTrajs int, archiveSize int6
 	ny := int(binary.LittleEndian.Uint32(data[11:15]))
 	dur := int64(binary.LittleEndian.Uint64(data[15:23]))
 	nt := int(binary.LittleEndian.Uint32(data[23:27]))
-	sz := int64(binary.LittleEndian.Uint64(data[27:35]))
+	sz := int64(binary.LittleEndian.Uint64(data[sidecarSizeOff:sidecarHdrLen]))
 	if nx != opts.GridNX || ny != opts.GridNY || dur != opts.IntervalDur ||
 		nt != numTrajs || sz != archiveSize {
 		return nil, fmt.Errorf("%w: header (%dx%d dur=%d trajs=%d size=%d), want (%dx%d dur=%d trajs=%d size=%d)",
@@ -179,20 +257,57 @@ func DecodeSidecar(data []byte, g *roadnet.Graph, numTrajs int, archiveSize int6
 	ix := &Index{
 		Opts:         opts,
 		Grid:         roadnet.NewGrid(g, opts.GridNX, opts.GridNY),
-		Temporal:     make([][]TemporalEntry, numTrajs),
-		Intervals:    make(map[int]*Interval),
-		byTrajRegion: make([]map[roadnet.RegionID]*RegionBucket, numTrajs),
+		temporal:     make([][]TemporalEntry, numTrajs),
+		lazyTemporal: make([]lazyBlock, numTrajs),
+		intervals:    make(map[int]*Interval),
+		trajRegion:   make([]trajRegions, numTrajs),
 		raw:          data,
 	}
 	r := &sidecarReader{data: data, off: sidecarHdrLen}
-	if version == sidecarVersionV1 {
-		return decodeSidecarV1(r, ix, numTrajs)
+	nbits := opts.GridNX * opts.GridNY
+	resident := 0
+
+	var err error
+	if ix.tempDir, ix.tempBlob, err = r.directory(numTrajs); err != nil {
+		return nil, fmt.Errorf("stiu: sidecar temporal directory: %w", err)
 	}
-	return decodeSidecarV2(r, ix, numTrajs)
+	resident += len(ix.tempDir)
+
+	nIv, err := r.intervalCount()
+	if err != nil {
+		return nil, fmt.Errorf("stiu: sidecar intervals: %w", err)
+	}
+	prevID := int64(0)
+	for i := 0; i < nIv; i++ {
+		id, err := r.intervalID(i == 0, &prevID)
+		if err != nil {
+			return nil, fmt.Errorf("stiu: sidecar intervals: %w", err)
+		}
+		iv := &Interval{}
+		if iv.candBytes, err = r.efSlice(); err != nil {
+			return nil, fmt.Errorf("stiu: sidecar interval %d trajs: %w", id, err)
+		}
+		if iv.bucketLayout, err = r.bucketLayout(nbits); err != nil {
+			return nil, fmt.Errorf("stiu: sidecar interval %d regions: %w", id, err)
+		}
+		resident += iv.occ.sizeBytes() + len(iv.offs)
+		ix.intervals[id] = iv
+	}
+
+	if ix.trDir, ix.trBlob, err = r.directory(numTrajs); err != nil {
+		return nil, fmt.Errorf("stiu: sidecar trajRegion directory: %w", err)
+	}
+	resident += len(ix.trDir)
+
+	if r.remaining() != 0 {
+		return nil, fmt.Errorf("stiu: sidecar has %d trailing bytes", r.remaining())
+	}
+	ix.succinctBytes.Store(int64(resident))
+	return ix, nil
 }
 
 // decodeTemporalEntries reads one trajectory's temporal section (count +
-// delta-coded entries), the format shared by v1 and v2.
+// delta-coded entries).
 func decodeTemporalEntries(r *sidecarReader) ([]TemporalEntry, error) {
 	n, err := r.uvarint()
 	if err != nil {
@@ -259,106 +374,8 @@ func (r *sidecarReader) intervalID(first bool, prev *int64) (int, error) {
 	return int(id), nil
 }
 
-// decodeSidecarV1 parses the legacy layout: eager temporal entries and
-// per-interval EF candidate sets, monolithic lazy region blocks.
-func decodeSidecarV1(r *sidecarReader, ix *Index, numTrajs int) (*Index, error) {
-	ix.lazyTR = make([]lazyBlock, numTrajs)
-
-	// Temporal section.
-	for j := 0; j < numTrajs; j++ {
-		entries, err := decodeTemporalEntries(r)
-		if err != nil {
-			return nil, fmt.Errorf("stiu: sidecar temporal[%d]: %w", j, err)
-		}
-		ix.Temporal[j] = entries
-	}
-
-	// Interval section.
-	nIv, err := r.intervalCount()
-	if err != nil {
-		return nil, fmt.Errorf("stiu: sidecar intervals: %w", err)
-	}
-	prevID := int64(0)
-	for i := 0; i < nIv; i++ {
-		id, err := r.intervalID(i == 0, &prevID)
-		if err != nil {
-			return nil, fmt.Errorf("stiu: sidecar intervals: %w", err)
-		}
-		trajs, err := r.efSet(numTrajs)
-		if err != nil {
-			return nil, fmt.Errorf("stiu: sidecar interval %d trajs: %w", id, err)
-		}
-		block, err := r.lenPrefixed()
-		if err != nil {
-			return nil, fmt.Errorf("stiu: sidecar interval %d regions: %w", id, err)
-		}
-		iv := &Interval{Trajs: trajs}
-		iv.lazy.data = block
-		ix.Intervals[id] = iv
-	}
-
-	// Trajectory-region section.
-	for j := 0; j < numTrajs; j++ {
-		block, err := r.lenPrefixed()
-		if err != nil {
-			return nil, fmt.Errorf("stiu: sidecar trajRegion[%d]: %w", j, err)
-		}
-		ix.lazyTR[j].data = block
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("stiu: sidecar has %d trailing bytes", r.remaining())
-	}
-	return ix, nil
-}
-
-// Materialize decodes every lazy block and temporal section.  Built
-// indexes are no-ops.
-func (ix *Index) Materialize() error {
-	for j := range ix.Temporal {
-		if _, err := ix.TemporalEntries(j); err != nil {
-			return err
-		}
-	}
-	if ix.succinct {
-		return ix.materializeV2()
-	}
-	for id, iv := range ix.Intervals {
-		if err := iv.force(); err != nil {
-			return fmt.Errorf("stiu: interval %d: %w", id, err)
-		}
-	}
-	for j := range ix.lazyTR {
-		if err := ix.forceTR(j); err != nil {
-			return fmt.Errorf("stiu: trajRegion[%d]: %w", j, err)
-		}
-	}
-	return nil
-}
-
-// --- region block codec ---
-
-func encodeRegionBlock(m map[roadnet.RegionID]*RegionBucket) []byte {
-	ids := make([]roadnet.RegionID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	buf := binary.AppendUvarint(nil, uint64(len(ids)))
-	prev := int64(0)
-	for i, id := range ids {
-		if i == 0 {
-			buf = binary.AppendVarint(buf, int64(id))
-		} else {
-			buf = binary.AppendUvarint(buf, uint64(int64(id)-prev))
-		}
-		prev = int64(id)
-		buf = appendBucket(buf, m[id])
-	}
-	return buf
-}
-
 // appendBucket emits one region bucket (refs then non-refs), the unit the
-// v2 layout addresses individually through its offset tables.
+// bucket layout addresses individually through its offset tables.
 func appendBucket(buf []byte, b *RegionBucket) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(b.Refs)))
 	for _, rt := range b.Refs {
@@ -393,42 +410,6 @@ func decodeBucket(data []byte) (*RegionBucket, error) {
 		return nil, fmt.Errorf("bucket has %d trailing bytes", r.remaining())
 	}
 	return b, nil
-}
-
-func decodeRegionBlock(data []byte) (map[roadnet.RegionID]*RegionBucket, error) {
-	r := &sidecarReader{data: data}
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(r.remaining())+1 {
-		return nil, fmt.Errorf("region count %d overflows block", n)
-	}
-	m := make(map[roadnet.RegionID]*RegionBucket, n)
-	prev := int64(0)
-	for i := uint64(0); i < n; i++ {
-		var id int64
-		if i == 0 {
-			id, err = r.varint()
-		} else {
-			var d uint64
-			d, err = r.uvarint()
-			id = prev + int64(d)
-		}
-		if err != nil {
-			return nil, err
-		}
-		prev = id
-		b, err := r.bucket()
-		if err != nil {
-			return nil, err
-		}
-		m[roadnet.RegionID(id)] = b
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("region block has %d trailing bytes", r.remaining())
-	}
-	return m, nil
 }
 
 // bucket decodes one region bucket at the reader's position.
@@ -634,7 +615,7 @@ func (r *sidecarReader) take(n int) ([]byte, error) {
 }
 
 // efSlice returns the raw bytes of one Elias–Fano set without decoding
-// it, so a v2 candidate set can stay on the mapping until first touch.
+// it, so a candidate set can stay on the mapping until first touch.
 func (r *sidecarReader) efSlice() ([]byte, error) {
 	start := r.off
 	n, err := r.uvarint()

@@ -3,7 +3,9 @@ package stiu
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"utcq/internal/core"
@@ -34,38 +36,111 @@ func buildGeneratedIndex(t *testing.T, opts Options) (*core.Archive, *Index) {
 	return a, ix
 }
 
-// requireSameIndex compares the query-visible state of two indexes:
-// temporal entries, interval candidate sets and fully materialized region
-// buckets.  It avoids DeepEqual on the Index struct itself, whose lazy
-// bookkeeping legitimately differs between built and decoded instances.
+// forEachBucket calls fn on every occupied (interval, region) bucket,
+// probing each grid cell through Buckets.
+func forEachBucket(t *testing.T, ix *Index, fn func(id int, re roadnet.RegionID, b *RegionBucket)) {
+	t.Helper()
+	for _, id := range ix.IntervalIDs() {
+		for re := roadnet.RegionID(0); int(re) < ix.Grid.NumRegions(); re++ {
+			b, err := ix.Buckets(id, re)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b != nil {
+				fn(id, re, b)
+			}
+		}
+	}
+}
+
+// touchAll drives every accessor over the whole index — temporal
+// sections, candidate sets, interval and trajectory-region buckets — and
+// returns the first error.  Hostile layouts must fail here, never panic.
+func touchAll(ix *Index) error {
+	for j := range ix.temporal {
+		if _, err := ix.TemporalEntries(j); err != nil {
+			return err
+		}
+		for re := roadnet.RegionID(0); int(re) < ix.Grid.NumRegions(); re++ {
+			if _, err := ix.TrajRegion(j, re); err != nil {
+				return err
+			}
+		}
+	}
+	for _, id := range ix.IntervalIDs() {
+		if _, err := ix.Candidates(id); err != nil {
+			return err
+		}
+		for re := roadnet.RegionID(0); int(re) < ix.Grid.NumRegions(); re++ {
+			if _, err := ix.Buckets(id, re); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// requireSameIndex compares the query-visible state of two indexes
+// through the accessors: temporal entries, interval ids and candidate
+// sets, and every interval and trajectory-region bucket.
 func requireSameIndex(t *testing.T, want, got *Index) {
 	t.Helper()
-	if err := want.Materialize(); err != nil {
-		t.Fatal(err)
+	if len(want.temporal) != len(got.temporal) {
+		t.Fatalf("trajectory count %d != %d", len(got.temporal), len(want.temporal))
 	}
-	if err := got.Materialize(); err != nil {
-		t.Fatal(err)
+	ids := want.IntervalIDs()
+	if !reflect.DeepEqual(ids, got.IntervalIDs()) {
+		t.Fatal("interval ids differ")
 	}
-	if !reflect.DeepEqual(want.Temporal, got.Temporal) {
-		t.Fatal("temporal entries differ")
-	}
-	if len(want.Intervals) != len(got.Intervals) {
-		t.Fatalf("interval count %d != %d", len(got.Intervals), len(want.Intervals))
-	}
-	for id, wiv := range want.Intervals {
-		giv := got.Intervals[id]
-		if giv == nil {
-			t.Fatalf("interval %d missing after decode", id)
+	for j := range want.temporal {
+		we, err := want.TemporalEntries(j)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(wiv.Trajs, giv.Trajs) {
+		ge, err := got.TemporalEntries(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(we, ge) {
+			t.Fatalf("temporal entries of trajectory %d differ", j)
+		}
+	}
+	same := func(what string, probe func(ix *Index, re roadnet.RegionID) (*RegionBucket, error)) {
+		t.Helper()
+		for re := roadnet.RegionID(0); int(re) < want.Grid.NumRegions(); re++ {
+			wb, err := probe(want, re)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gb, err := probe(got, re)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(wb, gb) {
+				t.Fatalf("%s region %d buckets differ", what, re)
+			}
+		}
+	}
+	for _, id := range ids {
+		wc, err := want.Candidates(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gc, err := got.Candidates(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(wc, gc) {
 			t.Fatalf("interval %d candidate trajs differ", id)
 		}
-		if !reflect.DeepEqual(wiv.Regions, giv.Regions) {
-			t.Fatalf("interval %d region buckets differ", id)
-		}
+		same(fmt.Sprintf("interval %d", id), func(ix *Index, re roadnet.RegionID) (*RegionBucket, error) {
+			return ix.Buckets(id, re)
+		})
 	}
-	if !reflect.DeepEqual(want.byTrajRegion, got.byTrajRegion) {
-		t.Fatal("trajectory-region buckets differ")
+	for j := range want.temporal {
+		same(fmt.Sprintf("trajectory %d", j), func(ix *Index, re roadnet.RegionID) (*RegionBucket, error) {
+			return ix.TrajRegion(j, re)
+		})
 	}
 }
 
@@ -73,9 +148,9 @@ func TestSidecarRoundTrip(t *testing.T) {
 	opts := Options{GridNX: 16, GridNY: 16, IntervalDur: 1800}
 	a, ix := buildGeneratedIndex(t, opts)
 	const archiveSize = 123456
-	enc, err := ix.EncodeSidecar(archiveSize)
-	if err != nil {
-		t.Fatal(err)
+	enc := ix.EncodeSidecar(archiveSize)
+	if got := binary.LittleEndian.Uint64(enc[sidecarSizeOff:]); got != archiveSize {
+		t.Fatalf("encoded archiveSize = %d, want %d", got, archiveSize)
 	}
 	dec, err := DecodeSidecar(enc, a.Graph, len(a.Trajs), archiveSize, opts)
 	if err != nil {
@@ -84,49 +159,59 @@ func TestSidecarRoundTrip(t *testing.T) {
 	requireSameIndex(t, ix, dec)
 
 	// A decoded index re-encodes byte-identically (it returns its buffer).
-	enc2, err := dec.EncodeSidecar(archiveSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(enc, enc2) {
+	if !bytes.Equal(enc, dec.EncodeSidecar(archiveSize)) {
 		t.Fatal("re-encoding a decoded sidecar is not byte-stable")
 	}
-	// Encoding the built index twice is deterministic.
-	enc3, err := ix.EncodeSidecar(archiveSize)
-	if err != nil {
-		t.Fatal(err)
+	// Stamping the archive size copies: the built index keeps size 0 and
+	// differs from the stamped encoding in the 8-byte field alone.
+	raw := ix.EncodeSidecar(0)
+	if got := binary.LittleEndian.Uint64(raw[sidecarSizeOff:]); got != 0 {
+		t.Fatalf("built index carries archiveSize %d, want 0", got)
 	}
-	if !bytes.Equal(enc, enc3) {
+	restamped := bytes.Clone(raw)
+	binary.LittleEndian.PutUint64(restamped[sidecarSizeOff:], archiveSize)
+	if !bytes.Equal(enc, restamped) {
+		t.Fatal("stamped encoding differs beyond the archiveSize field")
+	}
+	// Encoding the built index twice is deterministic.
+	if !bytes.Equal(enc, ix.EncodeSidecar(archiveSize)) {
 		t.Fatal("encoding is nondeterministic")
 	}
 }
 
+// TestSidecarLazyAccess: a fresh decode has decoded no bucket, and each
+// point lookup decodes exactly the one bucket it hits, agreeing with the
+// built index for every (interval, region) and (traj, region) pair.
 func TestSidecarLazyAccess(t *testing.T) {
 	opts := Options{GridNX: 16, GridNY: 16, IntervalDur: 1800}
 	a, ix := buildGeneratedIndex(t, opts)
-	enc, err := ix.EncodeSidecar(1)
+	dec, err := DecodeSidecar(ix.EncodeSidecar(1), a.Graph, len(a.Trajs), 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeSidecar(enc, a.Graph, len(a.Trajs), 1, opts)
-	if err != nil {
-		t.Fatal(err)
+	decoded := int64(0)
+	forEachBucket(t, ix, func(id int, re roadnet.RegionID, want *RegionBucket) {
+		if got := dec.Stats().RegionBlocksDecoded; got != decoded {
+			t.Fatalf("decoded %d buckets before lookup %d, want %d", got, decoded+1, decoded)
+		}
+		got, err := dec.Buckets(id, re)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("bucket (%d,%d) differs", id, re)
+		}
+		decoded++
+	})
+	if decoded == 0 {
+		t.Fatal("no occupied buckets in the fixture")
 	}
-	// Point lookups materialize blocks on demand and agree with the built
-	// index for every (interval, region) and (traj, region) pair.
-	for id, iv := range ix.Intervals {
-		for re, want := range iv.Regions {
-			got, err := dec.Buckets(id, re)
+	for j := range ix.temporal {
+		for re := roadnet.RegionID(0); int(re) < ix.Grid.NumRegions(); re++ {
+			want, err := ix.TrajRegion(j, re)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("bucket (%d,%d) differs", id, re)
-			}
-		}
-	}
-	for j := range ix.byTrajRegion {
-		for re, want := range ix.byTrajRegion[j] {
 			got, err := dec.TrajRegion(j, re)
 			if err != nil {
 				t.Fatal(err)
@@ -141,10 +226,7 @@ func TestSidecarLazyAccess(t *testing.T) {
 func TestSidecarRejectsMismatch(t *testing.T) {
 	opts := Options{GridNX: 16, GridNY: 16, IntervalDur: 1800}
 	a, ix := buildGeneratedIndex(t, opts)
-	enc, err := ix.EncodeSidecar(999)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := ix.EncodeSidecar(999)
 	cases := []struct {
 		name string
 		run  func() (*Index, error)
@@ -174,15 +256,12 @@ func TestSidecarRejectsMismatch(t *testing.T) {
 }
 
 // TestSidecarCorruptionIsAnError truncates and bit-flips the encoding at
-// every offset: decode (plus full materialization when decode succeeds)
-// must return an error or a different index, never panic.
+// every offset: decode (plus touching the whole index when decode
+// succeeds) must return an error or a different index, never panic.
 func TestSidecarCorruptionIsAnError(t *testing.T) {
 	opts := Options{GridNX: 8, GridNY: 8, IntervalDur: 1800}
 	a, ix := buildGeneratedIndex(t, opts)
-	enc, err := ix.EncodeSidecar(7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := ix.EncodeSidecar(7)
 	for cut := 0; cut < len(enc); cut += 7 {
 		if _, err := DecodeSidecar(enc[:cut], a.Graph, len(a.Trajs), 7, opts); err == nil {
 			t.Fatalf("truncation at %d decoded cleanly", cut)
@@ -195,7 +274,7 @@ func TestSidecarCorruptionIsAnError(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		_ = dec.Materialize() // must not panic; errors are acceptable
+		_ = touchAll(dec) // must not panic; errors are acceptable
 	}
 }
 
@@ -227,101 +306,63 @@ func TestEFSetRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSidecarV1RoundTrip pins the legacy layout: a v1 encoding (as every
-// pre-v2 store wrote) still decodes to the same index, and its header
-// carries version 1.
-func TestSidecarV1RoundTrip(t *testing.T) {
+// TestSidecarVersion1IsRejected: readers accept only version 2, so a
+// sidecar whose header says version 1 is an unusable cache — the decode
+// error names the version, and the store rebuilds from the archive.
+func TestSidecarVersion1IsRejected(t *testing.T) {
 	opts := Options{GridNX: 16, GridNY: 16, IntervalDur: 1800}
 	a, ix := buildGeneratedIndex(t, opts)
-	const archiveSize = 123456
-	enc, err := ix.EncodeSidecarV1(archiveSize)
-	if err != nil {
-		t.Fatal(err)
+	enc := bytes.Clone(ix.EncodeSidecar(1))
+	binary.LittleEndian.PutUint16(enc[4:], 1)
+	_, err := DecodeSidecar(enc, a.Graph, len(a.Trajs), 1, opts)
+	if err == nil {
+		t.Fatal("version-1 sidecar decoded")
 	}
-	if v := binary.LittleEndian.Uint16(enc[4:]); v != 1 {
-		t.Fatalf("v1 header version = %d", v)
-	}
-	dec, err := DecodeSidecar(enc, a.Graph, len(a.Trajs), archiveSize, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.succinct {
-		t.Fatal("v1 decode took the succinct path")
-	}
-	requireSameIndex(t, ix, dec)
-
-	// The default encoder writes v2.
-	enc2, err := ix.EncodeSidecar(archiveSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.LittleEndian.Uint16(enc2[4:]); v != 2 {
-		t.Fatalf("default header version = %d", v)
+	if !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("error %q does not name the version", err)
 	}
 }
 
-// TestSidecarV1CorruptionIsAnError mirrors the main corruption sweep for
-// the legacy decoder, which must stay robust as long as v1 files load.
-func TestSidecarV1CorruptionIsAnError(t *testing.T) {
-	opts := Options{GridNX: 8, GridNY: 8, IntervalDur: 1800}
-	a, ix := buildGeneratedIndex(t, opts)
-	enc, err := ix.EncodeSidecarV1(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 0; cut < len(enc); cut += 7 {
-		if _, err := DecodeSidecar(enc[:cut], a.Graph, len(a.Trajs), 7, opts); err == nil {
-			t.Fatalf("truncation at %d decoded cleanly", cut)
-		}
-	}
-	for off := 0; off < len(enc); off += 11 {
-		mut := bytes.Clone(enc)
-		mut[off] ^= 0x40
-		dec, err := DecodeSidecar(mut, a.Graph, len(a.Trajs), 7, opts)
-		if err != nil {
-			continue
-		}
-		_ = dec.Materialize() // must not panic; errors are acceptable
-	}
-}
-
-// TestSidecarV2LazyTemporal pins the tentpole behavior: decoding a v2
-// sidecar touches no temporal section, each section decodes exactly once
-// on first touch, and the entries match the built index.
+// TestSidecarV2LazyTemporal pins the lazy temporal section: neither
+// Build nor a decode touches a temporal section, each section decodes
+// exactly once on first touch, and the entries match across the two.
 func TestSidecarV2LazyTemporal(t *testing.T) {
 	opts := Options{GridNX: 16, GridNY: 16, IntervalDur: 1800}
 	a, ix := buildGeneratedIndex(t, opts)
-	enc, err := ix.EncodeSidecar(1)
+	dec, err := DecodeSidecar(ix.EncodeSidecar(1), a.Graph, len(a.Trajs), 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeSidecar(enc, a.Graph, len(a.Trajs), 1, opts)
-	if err != nil {
-		t.Fatal(err)
+	for _, x := range []*Index{ix, dec} {
+		if got := x.Stats().TemporalSectionsForced; got != 0 {
+			t.Fatalf("open forced %d temporal sections, want 0", got)
+		}
 	}
-	if got := dec.Stats().TemporalSectionsForced; got != 0 {
-		t.Fatalf("open forced %d temporal sections, want 0", got)
-	}
-	for j := range ix.Temporal {
-		if dec.Temporal[j] != nil {
-			t.Fatalf("Temporal[%d] eagerly decoded", j)
+	n := len(a.Trajs)
+	for j := 0; j < n; j++ {
+		if dec.temporal[j] != nil {
+			t.Fatalf("temporal[%d] eagerly decoded", j)
+		}
+		want, err := ix.TemporalEntries(j)
+		if err != nil {
+			t.Fatal(err)
 		}
 		got, err := dec.TemporalEntries(j)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(ix.Temporal[j], got) {
+		if len(got) == 0 || !reflect.DeepEqual(want, got) {
 			t.Fatalf("temporal entries for trajectory %d differ", j)
 		}
 	}
-	if got := dec.Stats().TemporalSectionsForced; got != int64(len(ix.Temporal)) {
-		t.Fatalf("forced %d sections, want %d", got, len(ix.Temporal))
+	if got := dec.Stats().TemporalSectionsForced; got != int64(n) {
+		t.Fatalf("forced %d sections, want %d", got, n)
 	}
 	// Warm touches are free: the counter stays put.
 	if _, err := dec.TemporalEntries(0); err != nil {
 		t.Fatal(err)
 	}
-	if got := dec.Stats().TemporalSectionsForced; got != int64(len(ix.Temporal)) {
+	if got := dec.Stats().TemporalSectionsForced; got != int64(n) {
 		t.Fatalf("warm touch re-forced a section (%d)", got)
 	}
 }
@@ -333,30 +374,34 @@ func TestSidecarV2LazyTemporal(t *testing.T) {
 func TestSidecarV2SuccinctStats(t *testing.T) {
 	opts := Options{GridNX: 16, GridNY: 16, IntervalDur: 1800}
 	a, ix := buildGeneratedIndex(t, opts)
-	enc, err := ix.EncodeSidecar(1)
-	if err != nil {
-		t.Fatal(err)
+	if ix.Stats().SuccinctBytes == 0 {
+		t.Fatal("SuccinctBytes = 0 after Build")
 	}
-	dec, err := DecodeSidecar(enc, a.Graph, len(a.Trajs), 1, opts)
+	dec, err := DecodeSidecar(ix.EncodeSidecar(1), a.Graph, len(a.Trajs), 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dec.Stats().SuccinctBytes == 0 {
-		t.Fatal("SuccinctBytes = 0 after v2 decode")
+		t.Fatal("SuccinctBytes = 0 after decode")
 	}
 
 	// Find an occupied pair and an unoccupied region in the same interval.
-	var id int
-	var hit, miss roadnet.RegionID = -1, -1
-	for iid, iv := range ix.Intervals {
+	id, hit, miss := 0, roadnet.RegionID(-1), roadnet.RegionID(-1)
+	for _, iid := range ix.IntervalIDs() {
+		hit, miss = -1, -1
 		for re := roadnet.RegionID(0); int(re) < opts.GridNX*opts.GridNY; re++ {
-			if _, ok := iv.Regions[re]; ok && hit < 0 {
-				id, hit = iid, re
-			} else if !ok && miss < 0 {
+			b, err := ix.Buckets(iid, re)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b != nil && hit < 0 {
+				hit = re
+			} else if b == nil && miss < 0 {
 				miss = re
 			}
 		}
 		if hit >= 0 && miss >= 0 {
+			id = iid
 			break
 		}
 	}

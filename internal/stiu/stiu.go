@@ -11,17 +11,23 @@
 // (fv.id, fv.no, d.pos, ptotal, pmax) and non-reference tuples
 // (rv.id, rv.no, ma.pos), exactly the fields Definition 9 and Section 5.2
 // prescribe.  ptotal and pmax drive the filtering Lemmas 1-4.
+//
+// An index has one representation, built or loaded: the succinct sidecar
+// encoding of FORMAT.md §5, queried in place.  Rank bitvectors over the
+// grid answer absent (interval, region) and (trajectory, region) probes
+// with a bit test; present buckets, candidate sets and temporal sections
+// decode on first touch and stay cached.
 package stiu
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"utcq/internal/core"
-	"utcq/internal/par"
 	"utcq/internal/roadnet"
 )
 
@@ -78,47 +84,58 @@ type RegionBucket struct {
 	NonRefs []NonRefTuple
 }
 
-// Interval is one time partition.  For a built index Regions is populated
-// eagerly; for an index decoded from a v1 sidecar the region buckets stay
-// as one encoded block until the first query touches the interval.  A v2
-// sidecar is finer-grained still: occupancy is a rank bitvector over the
-// grid cells, so a query probing an absent region answers straight off
-// the (possibly mapped) sidecar bytes, and a present region decodes just
-// its own bucket into the decoded cache — untouched buckets never page in.
-type Interval struct {
-	Trajs   []int32 // trajectories whose time span intersects the interval
-	Regions map[roadnet.RegionID]*RegionBucket
-
-	lazy lazyBlock // v1: the whole region block; v2: unused (mu guards Materialize)
-
-	// v2 succinct layout, aliasing the sidecar buffer.
+// bucketLayout is one succinct bucket group aliasing the sidecar buffer:
+// occupancy is a rank bitvector over the grid cells, so a probe of an
+// absent region answers with a bit test, and a present region decodes
+// just its own bucket into the decoded cache — untouched buckets never
+// page in.
+type bucketLayout struct {
 	occ     bitvec // region occupancy over the grid cells
 	offs    []byte // (npop+1) × u32 offsets into buckets
 	buckets []byte // concatenated per-region bucket encodings, rank order
 	decoded []atomic.Pointer[RegionBucket]
-	cand    lazyBlock // data = EF candidate-set bytes; force fills Trajs
 }
 
-// trSuccinct is the v2 per-trajectory region layout: the same
-// bitvector + offset-table shape as an interval, parsed from the
-// trajectory-region directory on the trajectory's first When touch.
-type trSuccinct struct {
-	hdr     lazyBlock // data = the trajectory's blob; force parses the views
-	occ     bitvec
-	offs    []byte
-	buckets []byte
-	decoded []atomic.Pointer[RegionBucket]
+// Interval is one time partition: its region buckets plus the encoded
+// Elias–Fano set of the trajectories whose time span intersects it,
+// decoded into trajs on the interval's first Candidates call.
+type Interval struct {
+	bucketLayout
+	candBytes []byte
+	cand      lazyBlock
+	trajs     []int32
 }
 
-// lazyBlock defers decoding of one sidecar block.  data is nil for built
-// indexes (nothing to decode).  The done flag is the lock-free fast path:
-// its release store happens after the decoded map is written under mu, so
-// an acquire load observing true also observes the map.
+// trajRegions is one trajectory's region layout for the When path's
+// Lemma-1 gate, parsed from the trajectory-region directory on the
+// trajectory's first touch.
+type trajRegions struct {
+	hdr lazyBlock
+	bucketLayout
+}
+
+// lazyBlock guards one lazily decoded sidecar section.  The done flag is
+// the lock-free fast path: its release store happens after the decoded
+// state is written under mu, so an acquire load observing true also
+// observes that state.
 type lazyBlock struct {
 	done atomic.Bool
 	mu   sync.Mutex
-	data []byte
 	err  error
+}
+
+// once runs decode exactly once; every call returns its error.
+func (lz *lazyBlock) once(decode func() error) error {
+	if lz.done.Load() {
+		return lz.err
+	}
+	lz.mu.Lock()
+	defer lz.mu.Unlock()
+	if !lz.done.Load() {
+		lz.err = decode()
+		lz.done.Store(true)
+	}
+	return lz.err
 }
 
 // Index is the StIU index over one archive.
@@ -126,51 +143,33 @@ type Index struct {
 	Opts Options
 	Grid *roadnet.Grid
 
-	// Temporal[j] is trajectory j's interval entries, sorted by Start.
-	// For a v2 sidecar the slice is nil until the trajectory's first
-	// temporal touch — use TemporalEntries.
-	Temporal [][]TemporalEntry
-
-	Intervals map[int]*Interval
-
-	// byTrajRegion[j][re] aggregates, across intervals, the tuple presence
-	// used by the when-query and Lemma 1.  nil entries of lazyTR (v1
-	// sidecar decode) materialize into it on first touch; v2 sidecars use
-	// trV2 instead and only fill the maps under Materialize.
-	byTrajRegion []map[roadnet.RegionID]*RegionBucket
-	lazyTR       []lazyBlock // parallel to byTrajRegion; v1 sidecars only
-
-	// v2 succinct state: the per-trajectory temporal offset directory and
-	// the per-trajectory region layouts.  succinct marks the index as
-	// v2-decoded so the query accessors take the rank/select paths.
-	succinct     bool
-	tempDir      []byte // (numTrajs+1) × u32 offsets into tempBlob
+	// temporal[j] is trajectory j's interval entries sorted by Start, nil
+	// until the first touch decodes them from the temporal directory.
+	temporal     [][]TemporalEntry
+	lazyTemporal []lazyBlock // parallel to temporal
+	tempDir      []byte      // (numTrajs+1) × u32 offsets into tempBlob
 	tempBlob     []byte
-	lazyTemporal []lazyBlock // parallel to Temporal; data unused, mu/err/done only
-	trDir        []byte      // (numTrajs+1) × u32 offsets into trBlob
-	trBlob       []byte
-	trV2         []trSuccinct
 
-	// raw retains the sidecar buffer an index was decoded from: the lazy
-	// blocks alias it, and EncodeSidecar can return it verbatim instead of
-	// re-encoding a partially materialized index.
+	intervals map[int]*Interval
+
+	// trajRegion[j] aggregates, across intervals, the tuple presence used
+	// by the when-query and Lemma 1.
+	trajRegion []trajRegions
+	trDir      []byte // (numTrajs+1) × u32 offsets into trBlob
+	trBlob     []byte
+
+	// raw is the sidecar encoding the index reads from; the layouts above
+	// alias it, and EncodeSidecar returns it.
 	raw []byte
 
-	// Succinct-index observability (Stats): how often the rank/select
-	// layer answered without materializing anything vs. how many bucket
-	// blocks and temporal sections were actually decoded, plus the
-	// resident footprint of the succinct structures themselves.
+	// Observability (Stats): how often the rank/select layer answered
+	// without decoding anything vs. how many bucket blocks and temporal
+	// sections were actually decoded, plus the resident footprint of the
+	// succinct structures themselves.
 	regionsDecoded atomic.Int64
 	prunedNoTouch  atomic.Int64
 	temporalForced atomic.Int64
 	succinctBytes  atomic.Int64
-
-	// Materialization state for v2 indexes: Materialize rebuilds the eager
-	// maps exactly once, guarded here rather than per-block so concurrent
-	// callers observe either nothing or the whole rebuild.
-	matMu        sync.Mutex
-	materialized bool
-	matErr       error
 }
 
 // IndexStats is a snapshot of the succinct-layer counters.
@@ -181,16 +180,15 @@ type IndexStats struct {
 	RegionBlocksDecoded int64
 	RegionPrunedNoTouch int64
 	// TemporalSectionsForced counts per-trajectory temporal sections
-	// decoded on first touch (always 0 right after a v2 open).
+	// decoded on first touch (always 0 right after Build or a decode).
 	TemporalSectionsForced int64
-	// SuccinctBytes is the static footprint of the rank/select directories
-	// (bitvector words + superblocks + offset tables); 0 unless the index
-	// was decoded from a v2 sidecar.
+	// SuccinctBytes is the resident footprint of the rank/select
+	// directories (bitvector words + superblocks + offset tables).
 	SuccinctBytes int64
 }
 
 // Stats returns the succinct-layer counters.  Safe to call concurrently
-// with queries; built and v1-decoded indexes report zeros.
+// with queries.
 func (ix *Index) Stats() IndexStats {
 	return IndexStats{
 		RegionBlocksDecoded:    ix.regionsDecoded.Load(),
@@ -203,52 +201,48 @@ func (ix *Index) Stats() IndexStats {
 // IntervalOf returns the time-partition id of t.
 func (ix *Index) IntervalOf(t int64) int { return int(t / ix.Opts.IntervalDur) }
 
-// TemporalEntries returns trajectory j's interval entries, decoding them
-// from a v2 sidecar's temporal section on first touch.  Built and
-// v1-decoded indexes return the eager slice; warm calls are a single
-// atomic load and never allocate.
-func (ix *Index) TemporalEntries(j int) ([]TemporalEntry, error) {
-	if ix.lazyTemporal != nil {
-		lz := &ix.lazyTemporal[j]
-		if !lz.done.Load() {
-			if err := ix.forceTemporal(j); err != nil {
-				return nil, err
-			}
-		} else if lz.err != nil {
-			return nil, lz.err
-		}
+// IntervalIDs returns the ids of the non-empty intervals in ascending
+// order.
+func (ix *Index) IntervalIDs() []int {
+	ids := make([]int, 0, len(ix.intervals))
+	for id := range ix.intervals {
+		ids = append(ids, id)
 	}
-	return ix.Temporal[j], nil
+	sort.Ints(ids)
+	return ids
 }
 
-// forceTemporal decodes trajectory j's temporal section from the v2
-// offset directory.
-func (ix *Index) forceTemporal(j int) error {
-	lz := &ix.lazyTemporal[j]
-	lz.mu.Lock()
-	defer lz.mu.Unlock()
-	if lz.done.Load() {
-		return lz.err
+// TemporalEntries returns trajectory j's interval entries, decoding its
+// temporal section on first touch.  Warm calls are a single atomic load
+// and never allocate.
+func (ix *Index) TemporalEntries(j int) ([]TemporalEntry, error) {
+	if lz := &ix.lazyTemporal[j]; !lz.done.Load() || lz.err != nil {
+		if err := lz.once(func() error { return ix.decodeTemporal(j) }); err != nil {
+			return nil, err
+		}
 	}
+	return ix.temporal[j], nil
+}
+
+// decodeTemporal decodes trajectory j's temporal section from the offset
+// directory.
+func (ix *Index) decodeTemporal(j int) error {
 	lo := int(binary.LittleEndian.Uint32(ix.tempDir[4*j:]))
 	hi := int(binary.LittleEndian.Uint32(ix.tempDir[4*j+4:]))
 	if lo > hi || hi > len(ix.tempBlob) {
-		lz.err = fmt.Errorf("stiu: temporal directory [%d,%d) overflows blob of %d bytes", lo, hi, len(ix.tempBlob))
-	} else {
-		r := &sidecarReader{data: ix.tempBlob[lo:hi:hi]}
-		entries, err := decodeTemporalEntries(r)
-		if err == nil && r.remaining() != 0 {
-			err = fmt.Errorf("temporal section has %d trailing bytes", r.remaining())
-		}
-		if err != nil {
-			lz.err = fmt.Errorf("stiu: sidecar temporal[%d]: %w", j, err)
-		} else {
-			ix.Temporal[j] = entries
-			ix.temporalForced.Add(1)
-		}
+		return fmt.Errorf("stiu: temporal directory [%d,%d) overflows blob of %d bytes", lo, hi, len(ix.tempBlob))
 	}
-	lz.done.Store(true)
-	return lz.err
+	r := &sidecarReader{data: ix.tempBlob[lo:hi:hi]}
+	entries, err := decodeTemporalEntries(r)
+	if err == nil && r.remaining() != 0 {
+		err = fmt.Errorf("temporal section has %d trailing bytes", r.remaining())
+	}
+	if err != nil {
+		return fmt.Errorf("stiu: sidecar temporal[%d]: %w", j, err)
+	}
+	ix.temporal[j] = entries
+	ix.temporalForced.Add(1)
+	return nil
 }
 
 // FindTemporal returns trajectory j's entry with the greatest Start <= t
@@ -265,195 +259,145 @@ func (ix *Index) FindTemporal(j int, t int64) (TemporalEntry, bool) {
 	return entries[lo-1], true
 }
 
-// Buckets returns the bucket of (interval, region), or nil.  The only
-// error source is a corrupt lazily-decoded sidecar block; built indexes
-// never fail.  Under a v2 sidecar an absent region answers from the
-// occupancy bitvector without decoding anything, and a present region
-// decodes only its own bucket (cached behind an atomic pointer).
+// FindTemporalByNo returns trajectory j's entry with the greatest No <= k,
+// used to resume timestamp decoding near point index k.
+func (ix *Index) FindTemporalByNo(j, k int) (TemporalEntry, bool) {
+	entries, err := ix.TemporalEntries(j)
+	if err != nil {
+		return TemporalEntry{}, false
+	}
+	lo := sort.Search(len(entries), func(i int) bool { return int(entries[i].No) > k })
+	if lo == 0 {
+		return TemporalEntry{}, false
+	}
+	return entries[lo-1], true
+}
+
+// Buckets returns the bucket of (interval, region), or nil.  An absent
+// region answers from the occupancy bitvector without decoding anything;
+// a present region decodes only its own bucket (cached behind an atomic
+// pointer).  The only error source is a corrupt bucket encoding.
 func (ix *Index) Buckets(interval int, re roadnet.RegionID) (*RegionBucket, error) {
-	iv := ix.Intervals[interval]
+	iv := ix.intervals[interval]
 	if iv == nil {
 		return nil, nil
 	}
-	if ix.succinct {
-		if int(re) >= iv.occ.nbits || !iv.occ.get(int(re)) {
-			ix.prunedNoTouch.Add(1)
-			return nil, nil
-		}
-		k := iv.occ.rank1(int(re))
-		if b := iv.decoded[k].Load(); b != nil {
-			return b, nil
-		}
-		return ix.decodeBucketAt(iv.offs, iv.buckets, iv.decoded, k)
-	}
-	if iv.lazy.data != nil && !iv.lazy.done.Load() {
-		if err := iv.force(); err != nil {
+	return ix.probe(&iv.bucketLayout, re)
+}
+
+// TrajRegion returns the aggregated bucket of trajectory j and region re.
+// The trajectory's bitvector answers absent regions without decoding,
+// giving the When path's Lemma-1 gate a zero-cost miss.
+func (ix *Index) TrajRegion(j int, re roadnet.RegionID) (*RegionBucket, error) {
+	if tr := &ix.trajRegion[j]; !tr.hdr.done.Load() || tr.hdr.err != nil {
+		if err := tr.hdr.once(func() error { return ix.parseTrajRegions(j) }); err != nil {
 			return nil, err
 		}
 	}
-	return iv.Regions[re], nil
+	return ix.probe(&ix.trajRegion[j].bucketLayout, re)
 }
 
-// decodeBucketAt materializes the k-th occupied bucket of a v2 layout and
-// publishes it.  Concurrent decoders may duplicate the work; both results
-// are identical and the last store wins.
-func (ix *Index) decodeBucketAt(offs, blob []byte, cache []atomic.Pointer[RegionBucket], k int) (*RegionBucket, error) {
-	lo := int(binary.LittleEndian.Uint32(offs[4*k:]))
-	hi := int(binary.LittleEndian.Uint32(offs[4*k+4:]))
-	if lo > hi || hi > len(blob) {
-		return nil, fmt.Errorf("stiu: bucket offsets [%d,%d) overflow blob of %d bytes", lo, hi, len(blob))
+// probe looks up region re in one layout, decoding and publishing the
+// bucket on its first hit.  Concurrent decoders may duplicate the work;
+// both results are identical and the last store wins.
+func (ix *Index) probe(l *bucketLayout, re roadnet.RegionID) (*RegionBucket, error) {
+	if re < 0 || int(re) >= l.occ.nbits || !l.occ.get(int(re)) {
+		ix.prunedNoTouch.Add(1)
+		return nil, nil
 	}
-	b, err := decodeBucket(blob[lo:hi:hi])
+	k := l.occ.rank1(int(re))
+	if b := l.decoded[k].Load(); b != nil {
+		return b, nil
+	}
+	lo := int(binary.LittleEndian.Uint32(l.offs[4*k:]))
+	hi := int(binary.LittleEndian.Uint32(l.offs[4*k+4:]))
+	if lo > hi || hi > len(l.buckets) {
+		return nil, fmt.Errorf("stiu: bucket offsets [%d,%d) overflow blob of %d bytes", lo, hi, len(l.buckets))
+	}
+	b, err := decodeBucket(l.buckets[lo:hi:hi])
 	if err != nil {
 		return nil, fmt.Errorf("stiu: bucket %d: %w", k, err)
 	}
-	cache[k].Store(b)
+	l.decoded[k].Store(b)
 	ix.regionsDecoded.Add(1)
 	return b, nil
 }
 
-// force materializes the interval's region map from its sidecar block.
-func (iv *Interval) force() error {
-	if iv.lazy.data == nil || iv.lazy.done.Load() {
-		return iv.lazy.err
-	}
-	iv.lazy.mu.Lock()
-	if !iv.lazy.done.Load() {
-		iv.Regions, iv.lazy.err = decodeRegionBlock(iv.lazy.data)
-		iv.lazy.done.Store(true)
-	}
-	iv.lazy.mu.Unlock()
-	return iv.lazy.err
-}
-
-// TrajRegion returns the aggregated bucket of trajectory j and region re.
-// Under a v2 sidecar the trajectory's bitvector answers absent regions
-// without decoding, giving the When path's Lemma-1 gate a zero-cost miss.
-func (ix *Index) TrajRegion(j int, re roadnet.RegionID) (*RegionBucket, error) {
-	if ix.trV2 != nil {
-		tr := &ix.trV2[j]
-		if !tr.hdr.done.Load() {
-			if err := ix.forceTRHeader(j); err != nil {
-				return nil, err
-			}
-		} else if tr.hdr.err != nil {
-			return nil, tr.hdr.err
-		}
-		if int(re) >= tr.occ.nbits || !tr.occ.get(int(re)) {
-			ix.prunedNoTouch.Add(1)
-			return nil, nil
-		}
-		k := tr.occ.rank1(int(re))
-		if b := tr.decoded[k].Load(); b != nil {
-			return b, nil
-		}
-		return ix.decodeBucketAt(tr.offs, tr.buckets, tr.decoded, k)
-	}
-	if len(ix.lazyTR) > 0 {
-		lz := &ix.lazyTR[j]
-		if lz.data != nil && !lz.done.Load() {
-			if err := ix.forceTR(j); err != nil {
-				return nil, err
-			}
-		} else if lz.err != nil {
-			return nil, lz.err
-		}
-	}
-	return ix.byTrajRegion[j][re], nil
-}
-
-// forceTRHeader parses trajectory j's v2 region layout (bitvector, offset
-// table, bucket blob) from its slot in the trajectory-region directory.
-// Slicing only — no bucket decodes.
-func (ix *Index) forceTRHeader(j int) error {
-	tr := &ix.trV2[j]
-	tr.hdr.mu.Lock()
-	defer tr.hdr.mu.Unlock()
-	if tr.hdr.done.Load() {
-		return tr.hdr.err
-	}
-	lo := int(binary.LittleEndian.Uint32(ix.trDirAt(j)))
-	hi := int(binary.LittleEndian.Uint32(ix.trDirAt(j + 1)))
+// parseTrajRegions slices trajectory j's region layout (bitvector, offset
+// table, bucket blob) out of the trajectory-region directory.  No bucket
+// decodes.
+func (ix *Index) parseTrajRegions(j int) error {
+	lo := int(binary.LittleEndian.Uint32(ix.trDir[4*j:]))
+	hi := int(binary.LittleEndian.Uint32(ix.trDir[4*j+4:]))
 	if lo > hi || hi > len(ix.trBlob) {
-		tr.hdr.err = fmt.Errorf("stiu: trajRegion directory [%d,%d) overflows blob of %d bytes", lo, hi, len(ix.trBlob))
-	} else {
-		r := &sidecarReader{data: ix.trBlob[lo:hi:hi]}
-		occ, offs, blob, err := r.bucketLayout(ix.Opts.GridNX * ix.Opts.GridNY)
-		if err == nil && r.remaining() != 0 {
-			err = fmt.Errorf("%d trailing bytes", r.remaining())
-		}
-		if err != nil {
-			tr.hdr.err = fmt.Errorf("stiu: sidecar trajRegion[%d]: %w", j, err)
-		} else {
-			tr.occ, tr.offs, tr.buckets = occ, offs, blob
-			tr.decoded = make([]atomic.Pointer[RegionBucket], occ.npop)
-			ix.succinctBytes.Add(int64(occ.sizeBytes() + len(offs)))
-		}
+		return fmt.Errorf("stiu: trajRegion directory [%d,%d) overflows blob of %d bytes", lo, hi, len(ix.trBlob))
 	}
-	tr.hdr.done.Store(true)
-	return tr.hdr.err
-}
-
-func (ix *Index) trDirAt(j int) []byte { return ix.trDir[4*j:] }
-
-// forceTR materializes trajectory j's region map from its sidecar block.
-func (ix *Index) forceTR(j int) error {
-	lz := &ix.lazyTR[j]
-	if lz.data == nil || lz.done.Load() {
-		return lz.err
-	}
-	lz.mu.Lock()
-	if !lz.done.Load() {
-		ix.byTrajRegion[j], lz.err = decodeRegionBlock(lz.data)
-		lz.done.Store(true)
-	}
-	lz.mu.Unlock()
-	return lz.err
-}
-
-// Candidates returns the trajectories active in the interval, decoding a
-// v2 sidecar's Elias–Fano candidate set on the interval's first touch.
-func (ix *Index) Candidates(interval int) ([]int32, error) {
-	iv := ix.Intervals[interval]
-	if iv == nil {
-		return nil, nil
-	}
-	if iv.cand.data != nil && !iv.cand.done.Load() {
-		if err := ix.forceCandidates(interval, iv); err != nil {
-			return nil, err
-		}
-	} else if iv.cand.err != nil {
-		return nil, iv.cand.err
-	}
-	return iv.Trajs, nil
-}
-
-func (ix *Index) forceCandidates(interval int, iv *Interval) error {
-	iv.cand.mu.Lock()
-	defer iv.cand.mu.Unlock()
-	if iv.cand.done.Load() {
-		return iv.cand.err
-	}
-	r := &sidecarReader{data: iv.cand.data}
-	trajs, err := r.efSet(len(ix.Temporal))
+	r := &sidecarReader{data: ix.trBlob[lo:hi:hi]}
+	l, err := r.bucketLayout(ix.Opts.GridNX * ix.Opts.GridNY)
 	if err == nil && r.remaining() != 0 {
 		err = fmt.Errorf("%d trailing bytes", r.remaining())
 	}
 	if err != nil {
-		iv.cand.err = fmt.Errorf("stiu: sidecar interval %d trajs: %w", interval, err)
-	} else {
-		iv.Trajs = trajs
+		return fmt.Errorf("stiu: sidecar trajRegion[%d]: %w", j, err)
 	}
-	iv.cand.done.Store(true)
-	return iv.cand.err
+	ix.trajRegion[j].bucketLayout = l
+	ix.succinctBytes.Add(int64(l.occ.sizeBytes() + len(l.offs)))
+	return nil
 }
 
-// CandidateTrajs returns the trajectories active in the interval.
-// Decode errors (unreachable behind the sidecar CRC) yield nil; callers
-// that need them use Candidates.
-func (ix *Index) CandidateTrajs(interval int) []int32 {
-	trajs, _ := ix.Candidates(interval)
-	return trajs
+// Candidates returns the trajectories active in the interval, decoding
+// its Elias–Fano candidate set on the interval's first touch.
+func (ix *Index) Candidates(interval int) ([]int32, error) {
+	iv := ix.intervals[interval]
+	if iv == nil {
+		return nil, nil
+	}
+	if !iv.cand.done.Load() || iv.cand.err != nil {
+		err := iv.cand.once(func() error {
+			r := &sidecarReader{data: iv.candBytes}
+			trajs, err := r.efSet(len(ix.temporal))
+			if err == nil && r.remaining() != 0 {
+				err = fmt.Errorf("%d trailing bytes", r.remaining())
+			}
+			if err != nil {
+				return fmt.Errorf("stiu: sidecar interval %d trajs: %w", interval, err)
+			}
+			iv.trajs = trajs
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return iv.trajs, nil
+}
+
+// Bounds returns a conservative bounding rectangle of the indexed
+// geometry: the union of every grid cell occupied in any interval (cells
+// cover the full edge geometry, so no position of any instance lies
+// outside the union).  An empty index gets an inverted rectangle that
+// intersects nothing.
+func (ix *Index) Bounds() roadnet.Rect {
+	union := make([]uint64, (ix.Opts.GridNX*ix.Opts.GridNY+63)/64)
+	for _, iv := range ix.intervals {
+		iv.occ.orInto(union)
+	}
+	out := roadnet.Rect{MinX: 1, MinY: 1, MaxX: 0, MaxY: 0}
+	empty := true
+	for w, v := range union {
+		for ; v != 0; v &= v - 1 {
+			cr := ix.Grid.CellRect(roadnet.RegionID(w*64 + bits.TrailingZeros64(v)))
+			if empty {
+				out, empty = cr, false
+				continue
+			}
+			out.MinX = math.Min(out.MinX, cr.MinX)
+			out.MinY = math.Min(out.MinY, cr.MinY)
+			out.MaxX = math.Max(out.MaxX, cr.MaxX)
+			out.MaxY = math.Max(out.MaxY, cr.MaxY)
+		}
+	}
+	return out
 }
 
 // Tuple bit widths used for index size accounting (Fig 9): temporal
@@ -467,11 +411,11 @@ const (
 	probBits  = 16
 )
 
-// TemporalSizeBits returns the temporal index size.  Lazy sections are
-// forced first so the accounting covers untouched trajectories.
+// TemporalSizeBits returns the temporal index size, decoding every
+// temporal section.
 func (ix *Index) TemporalSizeBits() int64 {
 	n := int64(0)
-	for j := range ix.Temporal {
+	for j := range ix.temporal {
 		entries, err := ix.TemporalEntries(j)
 		if err != nil {
 			return 0
@@ -482,153 +426,21 @@ func (ix *Index) TemporalSizeBits() int64 {
 }
 
 // SpatialSizeBits returns the spatial index size, given the vertex id
-// width of the archive.  Sidecar-backed indexes are fully materialized
-// first so the accounting covers untouched intervals.
+// width of the archive, decoding every interval bucket.
 func (ix *Index) SpatialSizeBits(vertexBits int) int64 {
-	if err := ix.Materialize(); err != nil {
-		return 0
-	}
 	n := int64(0)
-	for _, iv := range ix.Intervals {
-		for _, b := range iv.Regions {
+	for id := range ix.intervals {
+		for re := 0; re < ix.Opts.GridNX*ix.Opts.GridNY; re++ {
+			b, err := ix.Buckets(id, roadnet.RegionID(re))
+			if err != nil {
+				return 0
+			}
+			if b == nil {
+				continue
+			}
 			n += int64(len(b.Refs)) * int64(vertexBits+1+noBits+posBits+2*probBits)
 			n += int64(len(b.NonRefs)) * int64(vertexBits+noBits+posBits)
 		}
 	}
 	return n
-}
-
-// Build constructs the index from a compressed archive.  Building happens
-// at compression time (the paper builds StIU "during compression"), so it
-// may decode records freely.
-//
-// Construction has two phases.  The walk phase decodes each trajectory's
-// instance traversals and produces a per-trajectory tuple batch; walks are
-// independent, so they run on a bounded worker pool (Options.Parallelism).
-// The merge phase folds the batches into the grid/interval cells, sharded
-// by interval id so shards never touch the same cell.  Both phases apply
-// batches in trajectory order, so the index is identical to a serial build.
-func Build(a *core.Archive, opts Options) (*Index, error) {
-	if opts.GridNX < 1 || opts.GridNY < 1 || opts.IntervalDur < 1 {
-		return nil, fmt.Errorf("stiu: invalid options %+v", opts)
-	}
-	ix := &Index{
-		Opts:         opts,
-		Grid:         roadnet.NewGrid(a.Graph, opts.GridNX, opts.GridNY),
-		Temporal:     make([][]TemporalEntry, len(a.Trajs)),
-		Intervals:    make(map[int]*Interval),
-		byTrajRegion: make([]map[roadnet.RegionID]*RegionBucket, len(a.Trajs)),
-	}
-	workers := par.Workers(opts.Parallelism)
-
-	// Walk phase: per-trajectory batches, plus the per-trajectory index
-	// parts (temporal entries, trajectory-region buckets) that no other
-	// worker touches.
-	batches := make([]*trajBatch, len(a.Trajs))
-	err := par.Do(workers, len(a.Trajs), func(j int) error {
-		b, err := ix.walkTrajectory(a, j)
-		if err != nil {
-			return fmt.Errorf("stiu: trajectory %d: %w", j, err)
-		}
-		batches[j] = b
-		ix.Temporal[j] = b.temporal
-		ix.byTrajRegion[j] = b.trajRegion
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	ix.mergeBatches(batches, workers)
-
-	// Sort interval trajectory lists and deduplicate.
-	for _, iv := range ix.Intervals {
-		sort.Slice(iv.Trajs, func(x, y int) bool { return iv.Trajs[x] < iv.Trajs[y] })
-		iv.Trajs = dedupInt32(iv.Trajs)
-	}
-	return ix, nil
-}
-
-// mergeBatches folds the walk batches into the interval map.  Each shard
-// owns the intervals with id ≡ shard (mod shards) and applies every batch
-// in trajectory order, so no two shards write the same cell and the tuple
-// order within each cell matches a serial build exactly.
-func (ix *Index) mergeBatches(batches []*trajBatch, shards int) {
-	if shards < 1 {
-		shards = 1
-	}
-	mod := func(iv int) int { return ((iv % shards) + shards) % shards }
-	parts := make([]map[int]*Interval, shards)
-	// Shard counts are small; par.Do with error-free work never fails.
-	_ = par.Do(shards, shards, func(s int) error {
-		m := make(map[int]*Interval)
-		get := func(id int) *Interval {
-			iv := m[id]
-			if iv == nil {
-				iv = &Interval{Regions: make(map[roadnet.RegionID]*RegionBucket)}
-				m[id] = iv
-			}
-			return iv
-		}
-		for j, b := range batches {
-			for iv := b.firstIv; iv <= b.lastIv; iv++ {
-				if mod(iv) != s {
-					continue
-				}
-				in := get(iv)
-				in.Trajs = append(in.Trajs, int32(j))
-			}
-			for _, e := range b.emits {
-				if mod(e.interval) != s {
-					continue
-				}
-				bk := get(e.interval).bucket(e.re)
-				if e.isRef {
-					bk.Refs = append(bk.Refs, e.ref)
-				} else {
-					bk.NonRefs = append(bk.NonRefs, e.nonRef)
-				}
-			}
-		}
-		parts[s] = m
-		return nil
-	})
-	for _, m := range parts {
-		for id, iv := range m {
-			ix.Intervals[id] = iv
-		}
-	}
-}
-
-func (iv *Interval) bucket(re roadnet.RegionID) *RegionBucket {
-	b := iv.Regions[re]
-	if b == nil {
-		b = &RegionBucket{}
-		iv.Regions[re] = b
-	}
-	return b
-}
-
-func dedupInt32(xs []int32) []int32 {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// FindTemporalByNo returns trajectory j's entry with the greatest No <= k,
-// used to resume timestamp decoding near point index k.
-func (ix *Index) FindTemporalByNo(j, k int) (TemporalEntry, bool) {
-	entries, err := ix.TemporalEntries(j)
-	if err != nil {
-		return TemporalEntry{}, false
-	}
-	lo := sort.Search(len(entries), func(i int) bool { return int(entries[i].No) > k })
-	if lo == 0 {
-		return TemporalEntry{}, false
-	}
-	return entries[lo-1], true
 }

@@ -66,12 +66,10 @@ func TestSpatialTuples(t *testing.T) {
 	// Collect all regions with tuples for trajectory 0.
 	total := 0
 	var refTuples []RefTuple
-	for _, iv := range ix.Intervals {
-		for _, b := range iv.Regions {
-			refTuples = append(refTuples, b.Refs...)
-			total += len(b.Refs) + len(b.NonRefs)
-		}
-	}
+	forEachBucket(t, ix, func(_ int, _ roadnet.RegionID, b *RegionBucket) {
+		refTuples = append(refTuples, b.Refs...)
+		total += len(b.Refs) + len(b.NonRefs)
+	})
 	if total == 0 {
 		t.Fatal("no spatial tuples built")
 	}
@@ -177,8 +175,12 @@ func TestBuildOnGeneratedDataset(t *testing.T) {
 		}
 		// The trajectory must appear in its intervals' candidate lists.
 		iv := ix.IntervalOf(u.T[0])
+		cands, err := ix.Candidates(iv)
+		if err != nil {
+			t.Fatal(err)
+		}
 		foundSelf := false
-		for _, cj := range ix.CandidateTrajs(iv) {
+		for _, cj := range cands {
 			if int(cj) == j {
 				foundSelf = true
 			}
@@ -189,16 +191,14 @@ func TestBuildOnGeneratedDataset(t *testing.T) {
 	}
 	// ptotal consistency: every group tuple's ptotal must not exceed the
 	// trajectory's total probability (~1).
-	for _, iv := range ix.Intervals {
-		for _, b := range iv.Regions {
-			for _, rt := range b.Refs {
-				if rt.PTotal > 1.05 {
-					t.Errorf("ptotal %g > 1", rt.PTotal)
-				}
-				if rt.PMax > rt.PTotal+1e-6 {
-					t.Errorf("pmax %g > ptotal %g", rt.PMax, rt.PTotal)
-				}
+	forEachBucket(t, ix, func(_ int, _ roadnet.RegionID, b *RegionBucket) {
+		for _, rt := range b.Refs {
+			if rt.PTotal > 1.05 {
+				t.Errorf("ptotal %g > 1", rt.PTotal)
+			}
+			if rt.PMax > rt.PTotal+1e-6 {
+				t.Errorf("pmax %g > ptotal %g", rt.PMax, rt.PTotal)
 			}
 		}
-	}
+	})
 }

@@ -94,17 +94,13 @@ func writeShardFile(fs faultfs.FS, dir string, id uint32, arch *core.Archive) (i
 
 // writeShardArtifacts persists a shard's archive and its StIU sidecar and
 // returns the archive length plus the sidecar checksum for the manifest
-// entry.  The sidecar is an optimization, never a source of truth: if the
-// index cannot be encoded the shard is still durable and openers rebuild.
+// entry.
 func writeShardArtifacts(fs faultfs.FS, dir string, id uint32, arch *core.Archive, ix *stiu.Index) (uint64, uint32, error) {
 	size, err := writeShardFile(fs, dir, id, arch)
 	if err != nil {
 		return 0, 0, err
 	}
-	enc, err := ix.EncodeSidecar(size)
-	if err != nil {
-		return uint64(size), 0, fmt.Errorf("store: encode sidecar %d: %w", id, err)
-	}
+	enc := ix.EncodeSidecar(size)
 	err = writeFileAtomic(fs, dir, sidecarFile(id), func(w io.Writer) error {
 		_, werr := w.Write(enc)
 		return werr

@@ -363,31 +363,7 @@ func buildShardEngine(g *roadnet.Graph, tus []*traj.Uncertain, coreOpts core.Opt
 	if err != nil {
 		return nil, roadnet.Rect{}, fmt.Errorf("index: %w", err)
 	}
-	return query.NewEngineWithOptions(arch, ix, engOpts), shardGeometryBounds(ix), nil
-}
-
-// shardGeometryBounds returns a conservative bounding rectangle of a
-// shard's trajectory geometry: the union of every StIU region cell any of
-// its instances touches (cells cover the full edge geometry, so no
-// position of any instance lies outside the union).  An empty shard gets
-// an inverted rectangle that intersects nothing.
-func shardGeometryBounds(ix *stiu.Index) roadnet.Rect {
-	out := roadnet.Rect{MinX: 1, MinY: 1, MaxX: 0, MaxY: 0}
-	empty := true
-	for _, iv := range ix.Intervals {
-		for re := range iv.Regions {
-			cr := ix.Grid.CellRect(re)
-			if empty {
-				out, empty = cr, false
-				continue
-			}
-			out.MinX = math.Min(out.MinX, cr.MinX)
-			out.MinY = math.Min(out.MinY, cr.MinY)
-			out.MaxX = math.Max(out.MaxX, cr.MaxX)
-			out.MaxY = math.Max(out.MaxY, cr.MaxY)
-		}
-	}
-	return out
+	return query.NewEngineWithOptions(arch, ix, engOpts), ix.Bounds(), nil
 }
 
 // assign computes the shard of every trajectory.
@@ -916,7 +892,7 @@ func (s *Store) Compact() (int, error) {
 	for _, slot := range slots {
 		man.entries[slot].dead = true
 	}
-	man.entries = append(man.entries, shardEntry{id: id, kind: kindBase, count: uint32(len(recs)), bounds: shardGeometryBounds(ix)})
+	man.entries = append(man.entries, shardEntry{id: id, kind: kindBase, count: uint32(len(recs)), bounds: ix.Bounds()})
 	sh := &shard{id: id, globals: make([]int32, len(recs))}
 	for i, r := range recs {
 		man.shardOf[r.global] = id
@@ -1046,8 +1022,9 @@ type Stats struct {
 	// summed across shards (total entry budget of the store).
 	Engine query.EngineStats
 
-	// Succinct is the sum of the open shards' StIU succinct-layer counters
-	// (v2 sidecars only; zeros for v1/rebuilt indexes).
+	// Succinct is the sum of the open shards' StIU succinct-layer counters;
+	// every open shard counts, whether its index was loaded from a sidecar
+	// or built.
 	Succinct stiu.IndexStats
 }
 

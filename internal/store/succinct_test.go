@@ -2,10 +2,12 @@ package store
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"utcq/internal/faultfs"
 	"utcq/internal/gen"
 )
 
@@ -89,4 +91,49 @@ func TestSidecarV2CorruptionSweepRebuilds(t *testing.T) {
 	for _, keep := range []int{0, 10, 35 /* header boundary */, len(raw) / 3, len(raw) - 1} {
 		check(t, append([]byte(nil), raw[:keep]...))
 	}
+}
+
+// TestSidecarVersion1Rebuilds: readers accept only sidecar version 2, so
+// a shard whose sidecar header says version 1 — with a manifest checksum
+// that vouches for those bytes — is a stale cache: the open silently
+// rebuilds that shard's index and answers identically.
+func TestSidecarVersion1Rebuilds(t *testing.T) {
+	bc := buildReference(t, gen.CD(), 24, 53)
+	dir := saveStore(t, buildStore(t, bc, 2, AssignHash))
+	path := filepath.Join(dir, sidecarFile(0))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(raw[4:], 1)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	f, err := os.Open(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := readManifest(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range man.entries {
+		if man.entries[i].id == 0 {
+			man.entries[i].sidecarCRC = crc32.ChecksumIEEE(raw)
+		}
+	}
+	if err := writeManifestFile(faultfs.OS, dir, man); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := Open(dir, bc.ds.Graph, OpenOptions{Eager: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.SidecarRebuilds != 1 {
+		t.Fatalf("rebuilds = %d, want 1 (loads=%d)", st.SidecarRebuilds, st.SidecarLoads)
+	}
+	checkStoreMatchesEngine(t, bc, s, 59)
 }

@@ -247,8 +247,8 @@ type ClusterStats struct {
 }
 
 // SuccinctStats mirrors the StIU succinct-index counters
-// (internal/stiu.IndexStats) summed across a store's open shards.
-// Zeros when every shard's index is v1 or rebuilt.
+// (internal/stiu.IndexStats) summed across a store's open shards,
+// whether each shard's index was loaded from its sidecar or built.
 type SuccinctStats struct {
 	// RegionBlocksDecoded counts region buckets materialized from
 	// sidecar bytes; RegionPrunedNoTouch counts pruning probes the
@@ -297,9 +297,9 @@ type StatsResponse struct {
 	MappedBytes     int64 `json:"mappedBytes"`
 	RSSBytes        int64 `json:"rssBytes"`
 
-	// Succinct reports the v2 sidecars' rank/select layer (PR10): how
-	// often pruning answered without decoding anything vs. the blocks
-	// and temporal sections actually materialized.
+	// Succinct reports the StIU indexes' rank/select layer: how often
+	// pruning answered without decoding anything vs. the blocks and
+	// temporal sections actually materialized.
 	Succinct SuccinctStats `json:"succinct"`
 
 	// Degradation state (PR7).
