@@ -2,17 +2,16 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"utcq/internal/api"
 	"utcq/internal/par"
 	"utcq/pkg/client"
 )
@@ -39,8 +38,9 @@ type RouterOptions struct {
 	// (default 1s), mirroring the store's shard quarantine.
 	QuarantineBackoff time.Duration
 	// RefreshEvery is the background member-stats refresh cadence
-	// (default 2s); refreshed bounds drive Range fan-out pruning and
-	// quarantine healing.
+	// (default 2s), and the time a member has to answer one stats probe;
+	// refreshed bounds drive Range fan-out pruning and quarantine
+	// healing.
 	RefreshEvery time.Duration
 	// HTTPClient overrides the transport to members (tests).
 	HTTPClient *http.Client
@@ -52,9 +52,6 @@ func (o RouterOptions) withDefaults() RouterOptions {
 	}
 	if o.VNodes <= 0 {
 		o.VNodes = DefaultVNodes
-	}
-	if o.MaxBatch < 1 {
-		o.MaxBatch = 256
 	}
 	if o.QuarantineBackoff <= 0 {
 		o.QuarantineBackoff = time.Second
@@ -142,19 +139,17 @@ func (m *member) desynced() string {
 	return m.desync
 }
 
-// Router owns the cluster's global trajectory id space and serves the
-// single-node HTTP API over N members.  Where/When route point queries
-// to the owner; Range scatter-gathers with per-member bounds pruning
-// and a deterministic (sorted) merge; Ingest splits a batch by
-// placement and forwards each slice to its owner.  All routing state is
-// soft: Sync rebuilds it from member stats.
+// Router owns the cluster's global trajectory id space and is the
+// api.Backend that serves the single-node HTTP API over N members.
+// Where/When route point queries to the owner; Range scatter-gathers
+// with per-member bounds pruning and a deterministic (sorted) merge;
+// Ingest splits a batch by placement and forwards each slice to its
+// owner.  All routing state is soft: Sync rebuilds it from member stats.
 type Router struct {
 	place   *Placement
 	members []*member
 	opts    RouterOptions
-	mux     *http.ServeMux
-	hs      *http.Server
-	started time.Time
+	fe      *api.FrontEnd
 
 	// mu guards the id maps.  node[gid] is the owning member ordinal
 	// (-1: a hole burned by a partially failed routed ingest),
@@ -170,8 +165,6 @@ type Router struct {
 	// records in arrival order.
 	ingestMu sync.Mutex
 
-	requests atomic.Int64
-	failures atomic.Int64
 	degraded atomic.Int64
 
 	stopOnce sync.Once
@@ -188,12 +181,10 @@ func NewRouter(members []Member, opts RouterOptions) *Router {
 		names[i] = m.Name
 	}
 	rt := &Router{
-		place:   NewPlacement(names, opts.Partitions, opts.VNodes),
-		opts:    opts,
-		mux:     http.NewServeMux(),
-		started: time.Now(),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		place: NewPlacement(names, opts.Partitions, opts.VNodes),
+		opts:  opts,
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 	for i, m := range members {
 		rt.members = append(rt.members, &member{
@@ -205,48 +196,29 @@ func NewRouter(members []Member, opts RouterOptions) *Router {
 			c: client.New(m.URL, client.Options{HTTPClient: opts.HTTPClient, RetryAttempts: 2}),
 		})
 	}
-	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("GET /v1/stats", rt.handleStats)
-	rt.mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		http.Redirect(w, r, "/v1/stats", http.StatusMovedPermanently)
+	rt.fe = api.New(rt, api.Options{MaxBatch: opts.MaxBatch, BatchParallelism: opts.Parallelism})
+	// Subscriptions need per-member cursor state the router does not
+	// hold; clients subscribe to members directly.
+	rt.fe.HandleFunc("GET /v1/watch/range", func(w http.ResponseWriter, r *http.Request) {
+		rt.fe.Fail(w, fmt.Errorf("%w: watch subscriptions are not routed; subscribe to a member node directly", api.ErrUnsupported))
 	})
-	rt.mux.HandleFunc("POST /v1/where", rt.handleWhere)
-	rt.mux.HandleFunc("POST /v1/when", rt.handleWhen)
-	rt.mux.HandleFunc("POST /v1/range", rt.handleRange)
-	rt.mux.HandleFunc("POST /v1/batch", rt.handleBatch)
-	rt.mux.HandleFunc("POST /v1/ingest", rt.handleIngest)
-	rt.mux.HandleFunc("POST /v1/compact", rt.handleCompact)
-	rt.mux.HandleFunc("GET /v1/watch/range", rt.handleWatch)
-	rt.hs = &http.Server{Handler: rt.mux, ReadTimeout: 10 * time.Second, WriteTimeout: 30 * time.Second}
 	return rt
 }
 
 // Handler returns the route table (tests, embedding).
-func (rt *Router) Handler() http.Handler { return rt.mux }
+func (rt *Router) Handler() http.Handler { return rt.fe.Handler() }
 
 // Serve accepts connections on l until Shutdown.
-func (rt *Router) Serve(l net.Listener) error {
-	err := rt.hs.Serve(l)
-	if err == http.ErrServerClosed {
-		return nil
-	}
-	return err
-}
+func (rt *Router) Serve(l net.Listener) error { return rt.fe.Serve(l) }
 
 // ListenAndServe binds addr and serves until Shutdown.
-func (rt *Router) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return rt.Serve(l)
-}
+func (rt *Router) ListenAndServe(addr string) error { return rt.fe.ListenAndServe(addr) }
 
 // Shutdown stops the listener, drains in-flight requests and stops the
 // background refresher.
 func (rt *Router) Shutdown(ctx context.Context) error {
 	rt.Close()
-	return rt.hs.Shutdown(ctx)
+	return rt.fe.Shutdown(ctx)
 }
 
 // Start launches the background stats refresher (quarantine healing and
@@ -261,9 +233,7 @@ func (rt *Router) Start() {
 			case <-rt.stop:
 				return
 			case <-t.C:
-				ctx, cancel := context.WithTimeout(context.Background(), rt.opts.RefreshEvery)
-				rt.RefreshStats(ctx)
-				cancel()
+				rt.RefreshStats(context.Background())
 			}
 		}
 	}()
@@ -276,18 +246,21 @@ func (rt *Router) Close() {
 }
 
 // refreshMember re-fetches one member's stats, healing its quarantine
-// on success and arming it on transport failure.
-func (rt *Router) refreshMember(ctx context.Context, m *member) error {
-	st, err := m.c.Stats(ctx)
+// on success.  The member must answer within RefreshEvery; a failure is
+// held against it — recorded for /healthz and classified by memberErr —
+// unless the caller's own context ended first.
+func (rt *Router) refreshMember(ctx context.Context, m *member) (client.StatsResponse, error) {
+	cctx, cancel := context.WithTimeout(ctx, rt.opts.RefreshEvery)
+	defer cancel()
+	st, err := m.c.Stats(cctx)
 	if err != nil {
-		m.mu.Lock()
-		m.statErr = err.Error()
-		m.mu.Unlock()
-		var ae *client.APIError
-		if !errors.As(err, &ae) {
-			m.quarantine(rt.opts.QuarantineBackoff)
+		err = rt.memberErr(ctx, m, err)
+		if ctx.Err() == nil {
+			m.mu.Lock()
+			m.statErr = err.Error()
+			m.mu.Unlock()
 		}
-		return err
+		return st, err
 	}
 	m.mu.Lock()
 	m.gen = st.Generation
@@ -303,7 +276,7 @@ func (rt *Router) refreshMember(ctx context.Context, m *member) error {
 	m.mu.Unlock()
 	m.heal()
 	rt.reconcile(m, st)
-	return nil
+	return st, nil
 }
 
 // reconcile clears a member's ingest-desync latch when fresh stats
@@ -343,7 +316,7 @@ func (rt *Router) reconcile(m *member, st client.StatsResponse) {
 // (members already quarantined are probed too — a success heals them).
 func (rt *Router) RefreshStats(ctx context.Context) {
 	_ = par.Do(par.Workers(rt.opts.Parallelism), len(rt.members), func(i int) error {
-		_ = rt.refreshMember(ctx, rt.members[i])
+		_, _ = rt.refreshMember(ctx, rt.members[i])
 		return nil
 	})
 }
@@ -359,7 +332,7 @@ func (rt *Router) Sync(ctx context.Context) error {
 	var firstErr error
 	var errMu sync.Mutex
 	_ = par.Do(par.Workers(rt.opts.Parallelism), len(rt.members), func(i int) error {
-		if err := rt.refreshMember(ctx, rt.members[i]); err != nil {
+		if _, err := rt.refreshMember(ctx, rt.members[i]); err != nil {
 			errMu.Lock()
 			if firstErr == nil {
 				firstErr = fmt.Errorf("member %s (%s): %w", rt.members[i].name, rt.members[i].url, err)
@@ -432,138 +405,103 @@ func (rt *Router) locate(gid int) (*member, int, error) {
 	return rt.members[rt.node[gid]], int(rt.local[gid]), nil
 }
 
-// routeErr is an error the router answers with verbatim: either a
-// member's own classified failure forwarded through, or the router's
-// own condition (node quarantined, unknown trajectory, bad request).
-type routeErr struct {
-	status     int
-	code       string
-	msg        string
-	retryAfter int
+// The router's own failures are expressed in wire form, so the front
+// end forwards them exactly like a member's classified answer.
+
+func errUnknownGID(detail string) *client.APIError {
+	return &client.APIError{Status: http.StatusBadRequest, Code: client.CodeUnknownTrajectory,
+		Message: "unknown trajectory: " + detail}
 }
 
-func (e *routeErr) Error() string { return e.msg }
-
-func errUnknownGID(gid int, detail string) *routeErr {
-	return &routeErr{status: http.StatusBadRequest, code: client.CodeUnknownTrajectory,
-		msg: fmt.Sprintf("unknown trajectory: %s", detail)}
+func errNodeDown(m *member, err error) *client.APIError {
+	return &client.APIError{Status: http.StatusServiceUnavailable, Code: client.CodeNodeQuarantined,
+		Message: fmt.Sprintf("node %s is quarantined: %v", m.name, err), RetryAfter: 2 * time.Second}
 }
 
-func errNodeDown(m *member, err error) *routeErr {
-	return &routeErr{status: http.StatusServiceUnavailable, code: client.CodeNodeQuarantined,
-		msg: fmt.Sprintf("node %s is quarantined: %v", m.name, err), retryAfter: 2}
-}
-
-func errNodeDesynced(m *member, reason string) *routeErr {
-	return &routeErr{status: http.StatusServiceUnavailable, code: client.CodeNodeDesynced,
-		msg:        fmt.Sprintf("node %s is desynced (%s); ingest refused until a reconcile — do not blindly resubmit, records may already be durable there", m.name, reason),
-		retryAfter: 5}
+func errNodeDesynced(m *member, reason string) *client.APIError {
+	return &client.APIError{Status: http.StatusServiceUnavailable, Code: client.CodeNodeDesynced,
+		Message:    fmt.Sprintf("node %s is desynced (%s); ingest refused until a reconcile — do not blindly resubmit, records may already be durable there", m.name, reason),
+		RetryAfter: 5 * time.Second}
 }
 
 // memberErr classifies a failed member call: a classified APIError is
 // forwarded verbatim (the member's 400/404/410/500 is the truth about
-// that data); a transport-level failure quarantines the member and
-// answers node_quarantined so clients back off while the router fails
-// fast.
-func (rt *Router) memberErr(m *member, err error) *routeErr {
+// that data); once the request's own context is done the failure is the
+// caller's — its deadline or its hang-up — and answers timeout without
+// touching the member; any other transport-level failure quarantines
+// the member and answers node_quarantined so clients back off while the
+// router fails fast.
+func (rt *Router) memberErr(ctx context.Context, m *member, err error) error {
 	var ae *client.APIError
 	if errors.As(err, &ae) {
-		return &routeErr{status: ae.Status, code: ae.Code, msg: ae.Message,
-			retryAfter: int(ae.RetryAfter / time.Second)}
+		return ae
+	}
+	if ctx.Err() != nil {
+		return ctx.Err()
 	}
 	m.quarantine(rt.opts.QuarantineBackoff)
 	return errNodeDown(m, err)
 }
 
-// decode mirrors the single-node server: bounded body, unknown fields
-// rejected.
-func (rt *Router) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	rt.requests.Add(1)
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		rt.fail(w, &routeErr{status: http.StatusBadRequest, code: client.CodeBadRequest,
-			msg: fmt.Sprintf("decode request: %v", err)})
-		return false
+// View returns the router itself: generation pins are per-member state,
+// so a pinned request is refused rather than forwarding one node's pin
+// to another.
+func (rt *Router) View(gen uint64, pinned bool) (api.Reader, error) {
+	if pinned {
+		return nil, fmt.Errorf("%w: generation pins are per-node state; pin against a member node directly", api.ErrBadRequest)
 	}
-	return true
+	return rt, nil
 }
 
-// noGenPin rejects ?gen= on routed queries: generations are per-member
-// state, so a pin is only meaningful against one node.
-func (rt *Router) noGenPin(w http.ResponseWriter, r *http.Request) bool {
-	if r.URL.Query().Get("gen") == "" {
-		return true
-	}
-	rt.fail(w, &routeErr{status: http.StatusBadRequest, code: client.CodeBadRequest,
-		msg: "generation pins are per-node state; pin against a member node directly"})
-	return false
-}
-
-func (rt *Router) reply(w http.ResponseWriter, payload any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(payload); err != nil {
-		rt.failures.Add(1)
-	}
-}
-
-func (rt *Router) fail(w http.ResponseWriter, re *routeErr) {
-	rt.failures.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	if re.retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(re.retryAfter))
-	}
-	w.WriteHeader(re.status)
-	env := client.ErrorResponse{Code: re.code, Error: re.msg, RetryAfter: re.retryAfter}
-	if err := json.NewEncoder(w).Encode(env); err != nil {
-		rt.failures.Add(1)
-	}
-}
-
-// whereGlobal evaluates one where-query by ownership.
-func (rt *Router) whereGlobal(ctx context.Context, req client.WhereRequest) ([]client.WhereResult, *routeErr) {
-	m, local, err := rt.locate(req.Traj)
+// owner resolves a point query's gid to its live member and local id.
+func (rt *Router) owner(gid int) (*member, int, error) {
+	m, local, err := rt.locate(gid)
 	if err != nil {
-		return nil, errUnknownGID(req.Traj, err.Error())
+		return nil, 0, errUnknownGID(err.Error())
 	}
 	if m.quarantined() {
-		return nil, errNodeDown(m, errors.New("recent failures, backing off"))
+		return nil, 0, errNodeDown(m, errors.New("recent failures, backing off"))
 	}
-	sub := req
-	sub.Traj, sub.Gen = local, 0
-	rs, cerr := m.c.Where(ctx, sub)
-	if cerr != nil {
-		return nil, rt.memberErr(m, cerr)
+	return m, local, nil
+}
+
+// Where evaluates one where-query on the trajectory's owner.
+func (rt *Router) Where(ctx context.Context, req client.WhereRequest) ([]client.WhereResult, error) {
+	m, local, err := rt.owner(req.Traj)
+	if err != nil {
+		return nil, err
+	}
+	req.Traj, req.Gen = local, 0
+	rs, err := m.c.Where(ctx, req)
+	if err != nil {
+		return nil, rt.memberErr(ctx, m, err)
 	}
 	return rs, nil
 }
 
-// whenGlobal evaluates one when-query by ownership.
-func (rt *Router) whenGlobal(ctx context.Context, req client.WhenRequest) ([]client.WhenResult, *routeErr) {
-	m, local, err := rt.locate(req.Traj)
+// When evaluates one when-query on the trajectory's owner.
+func (rt *Router) When(ctx context.Context, req client.WhenRequest) ([]client.WhenResult, error) {
+	m, local, err := rt.owner(req.Traj)
 	if err != nil {
-		return nil, errUnknownGID(req.Traj, err.Error())
+		return nil, err
 	}
-	if m.quarantined() {
-		return nil, errNodeDown(m, errors.New("recent failures, backing off"))
-	}
-	sub := req
-	sub.Traj, sub.Gen = local, 0
-	rs, cerr := m.c.When(ctx, sub)
-	if cerr != nil {
-		return nil, rt.memberErr(m, cerr)
+	req.Traj, req.Gen = local, 0
+	rs, err := m.c.When(ctx, req)
+	if err != nil {
+		return nil, rt.memberErr(ctx, m, err)
 	}
 	return rs, nil
 }
 
-// rangeGlobal scatter-gathers a range query: members that cannot hold a
+// Range scatter-gathers a range query: members that cannot hold a
 // matching trajectory (empty, or fresh bounds disjoint from the query
 // rectangle — the same geometry pruning the store applies per shard)
 // are never contacted; quarantined or failing members are skipped and
 // counted, degrading the result to a lower bound instead of failing it.
 // The merge translates member-local ids to gids and sorts, so the
 // answer is deterministic and ≡ a single-node store over the same data.
-func (rt *Router) rangeGlobal(ctx context.Context, req client.RangeRequest) (client.RangeResult, *routeErr) {
+// A request whose own context ended answers timeout.
+func (rt *Router) Range(ctx context.Context, req client.RangeRequest) (client.RangeResult, error) {
 	req.Gen = 0
 	rt.mu.RLock()
 	perNode := rt.perNode
@@ -572,7 +510,6 @@ func (rt *Router) rangeGlobal(ctx context.Context, req client.RangeRequest) (cli
 	type nodeOut struct {
 		res     client.RangeResult
 		skipped bool
-		err     error
 	}
 	outs := make([]nodeOut, len(rt.members))
 	_ = par.Do(par.Workers(rt.opts.Parallelism), len(rt.members), func(i int) error {
@@ -591,21 +528,21 @@ func (rt *Router) rangeGlobal(ctx context.Context, req client.RangeRequest) (cli
 			return nil
 		}
 		if m.quarantined() {
-			outs[i] = nodeOut{skipped: true, err: errors.New("quarantined")}
+			outs[i].skipped = true
 			return nil
 		}
 		res, err := m.c.Range(ctx, req)
 		if err != nil {
-			var ae *client.APIError
-			if !errors.As(err, &ae) {
-				m.quarantine(rt.opts.QuarantineBackoff)
-			}
-			outs[i] = nodeOut{skipped: true, err: err}
+			_ = rt.memberErr(ctx, m, err)
+			outs[i].skipped = true
 			return nil
 		}
-		outs[i] = nodeOut{res: res}
+		outs[i].res = res
 		return nil
 	})
+	if err := ctx.Err(); err != nil {
+		return client.RangeResult{}, err
+	}
 
 	out := client.RangeResult{Trajs: []int{}}
 	for i, o := range outs {
@@ -621,9 +558,7 @@ func (rt *Router) rangeGlobal(ctx context.Context, req client.RangeRequest) (cli
 			if localID < 0 {
 				// Negative ids cannot come from a store; surface loudly
 				// rather than mistranslate.
-				return client.RangeResult{}, &routeErr{status: http.StatusInternalServerError,
-					code: client.CodeInternal,
-					msg:  fmt.Sprintf("member %s returned invalid local id %d", rt.members[i].name, localID)}
+				return client.RangeResult{}, fmt.Errorf("member %s returned invalid local id %d", rt.members[i].name, localID)
 			}
 			if len(perNode) <= i || localID >= len(perNode[i]) {
 				// The member holds records newer than this query's map
@@ -649,109 +584,16 @@ func (rt *Router) rangeGlobal(ctx context.Context, req client.RangeRequest) (cli
 	return out, nil
 }
 
-func (rt *Router) handleWhere(w http.ResponseWriter, r *http.Request) {
-	var req client.WhereRequest
-	if !rt.decode(w, r, &req) || !rt.noGenPin(w, r) {
-		return
-	}
-	rs, rerr := rt.whereGlobal(r.Context(), req)
-	if rerr != nil {
-		rt.fail(w, rerr)
-		return
-	}
-	rt.reply(w, map[string]any{"results": rs})
-}
-
-func (rt *Router) handleWhen(w http.ResponseWriter, r *http.Request) {
-	var req client.WhenRequest
-	if !rt.decode(w, r, &req) || !rt.noGenPin(w, r) {
-		return
-	}
-	rs, rerr := rt.whenGlobal(r.Context(), req)
-	if rerr != nil {
-		rt.fail(w, rerr)
-		return
-	}
-	rt.reply(w, map[string]any{"results": rs})
-}
-
-func (rt *Router) handleRange(w http.ResponseWriter, r *http.Request) {
-	var req client.RangeRequest
-	if !rt.decode(w, r, &req) || !rt.noGenPin(w, r) {
-		return
-	}
-	res, rerr := rt.rangeGlobal(r.Context(), req)
-	if rerr != nil {
-		rt.fail(w, rerr)
-		return
-	}
-	rt.reply(w, res)
-}
-
-// handleBatch decomposes a batch onto the scatter workers; per-query
-// failures stay in-band with their codes, exactly like the single-node
-// server.
-func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req client.BatchRequest
-	if !rt.decode(w, r, &req) || !rt.noGenPin(w, r) {
-		return
-	}
-	if len(req.Queries) > rt.opts.MaxBatch {
-		rt.fail(w, &routeErr{status: http.StatusRequestEntityTooLarge, code: client.CodeTooLarge,
-			msg: fmt.Sprintf("batch of %d exceeds limit %d", len(req.Queries), rt.opts.MaxBatch)})
-		return
-	}
-	results := make([]client.BatchResult, len(req.Queries))
-	_ = par.Do(par.Workers(rt.opts.Parallelism), len(req.Queries), func(i int) error {
-		q := req.Queries[i]
-		switch {
-		case q.Kind == "where" && q.Where != nil:
-			rs, rerr := rt.whereGlobal(r.Context(), *q.Where)
-			if rerr != nil {
-				results[i].Error, results[i].Code = rerr.msg, rerr.code
-				return nil
-			}
-			results[i].Where = rs
-		case q.Kind == "when" && q.When != nil:
-			rs, rerr := rt.whenGlobal(r.Context(), *q.When)
-			if rerr != nil {
-				results[i].Error, results[i].Code = rerr.msg, rerr.code
-				return nil
-			}
-			results[i].When = rs
-		case q.Kind == "range" && q.Range != nil:
-			res, rerr := rt.rangeGlobal(r.Context(), *q.Range)
-			if rerr != nil {
-				results[i].Error, results[i].Code = rerr.msg, rerr.code
-				return nil
-			}
-			results[i].Trajs = res.Trajs
-			results[i].Degraded = res.Degraded
-		default:
-			results[i].Error = fmt.Sprintf("query %d: kind %q without a matching body", i, q.Kind)
-			results[i].Code = client.CodeBadRequest
-		}
-		return nil
-	})
-	rt.reply(w, map[string]any{"results": results})
-}
-
-// handleIngest splits the batch by placement over freshly assigned gids
+// Ingest splits the batch by placement over freshly assigned gids
 // and forwards each slice to its owner.  The global assignment is
 // provisional until the owner acknowledges: a slice whose owner fails
 // burns its gids as holes (they answer unknown_trajectory until
 // re-ingested) rather than shifting every later assignment — routed
 // ingest is at-most-once per node, and the response's nodes section
 // tells the client exactly which slices need resubmitting.
-func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var req client.IngestRequest
-	if !rt.decode(w, r, &req) {
-		return
-	}
+func (rt *Router) Ingest(ctx context.Context, req client.IngestRequest) (client.IngestResponse, error) {
 	if len(req.Trajectories) == 0 {
-		rt.fail(w, &routeErr{status: http.StatusBadRequest, code: client.CodeBadRequest,
-			msg: "invalid request: no trajectories"})
-		return
+		return client.IngestResponse{}, fmt.Errorf("%w: no trajectories", api.ErrBadRequest)
 	}
 	rt.ingestMu.Lock()
 	defer rt.ingestMu.Unlock()
@@ -799,7 +641,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// fold outcome (which records the matcher dropped) is the only
 		// way to keep the router's id maps exact, and it is only
 		// reported on synchronous flushes.
-		resp, err := m.c.Ingest(r.Context(), slices[i].trajs, true)
+		resp, err := m.c.Ingest(ctx, slices[i].trajs, true)
 		if err != nil {
 			var ae *client.APIError
 			if !errors.As(err, &ae) {
@@ -835,18 +677,14 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	rt.mu.RUnlock()
 
 	okNode := make([]bool, len(rt.members))
-	nodeErr := make([]*routeErr, len(rt.members))
+	nodeErr := make([]error, len(rt.members))
 	dropSet := make([]map[int]bool, len(rt.members))
 	for i, m := range rt.members {
 		if len(slices[i].trajs) == 0 {
 			continue
 		}
 		if acks[i].err != nil {
-			if re, ok := acks[i].err.(*routeErr); ok {
-				nodeErr[i] = re
-			} else {
-				nodeErr[i] = rt.memberErr(m, acks[i].err)
-			}
+			nodeErr[i] = rt.memberErr(ctx, m, acks[i].err)
 			continue
 		}
 		resp := acks[i].resp
@@ -882,7 +720,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 
 	anyOK := false
-	var firstErr *routeErr
+	var firstErr error
 	for i := range rt.members {
 		if len(slices[i].trajs) == 0 {
 			continue
@@ -898,10 +736,9 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// a retried batch (e.g. after backlog shedding) does not burn a
 		// fresh gid range as holes on every attempt.
 		if firstErr == nil {
-			firstErr = &routeErr{status: http.StatusInternalServerError, code: client.CodeInternal, msg: "no member accepted the batch"}
+			firstErr = errors.New("no member accepted the batch")
 		}
-		rt.fail(w, firstErr)
-		return
+		return client.IngestResponse{}, firstErr
 	}
 
 	// Commit the assignment: verified slices extend the maps; failed
@@ -939,7 +776,8 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		n := client.NodeIngestResult{Name: m.name}
 		if !okNode[i] {
-			n.Error, n.Code = nodeErr[i].msg, nodeErr[i].code
+			_, env := api.Classify(nodeErr[i])
+			n.Error, n.Code = env.Error, env.Code
 		} else {
 			n.Accepted = acks[i].resp.Accepted
 			n.FirstSeq = acks[i].resp.FirstSeq
@@ -957,43 +795,32 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Nodes = append(out.Nodes, n)
 	}
-	rt.reply(w, out)
+	return out, nil
 }
 
-// handleCompact fans compaction out to every member.
-func (rt *Router) handleCompact(w http.ResponseWriter, r *http.Request) {
-	rt.requests.Add(1)
+// Compact fans compaction out to every member.
+func (rt *Router) Compact(ctx context.Context) (client.CompactResponse, error) {
 	resps := make([]client.CompactResponse, len(rt.members))
 	errs := make([]error, len(rt.members))
 	_ = par.Do(par.Workers(rt.opts.Parallelism), len(rt.members), func(i int) error {
-		resps[i], errs[i] = rt.members[i].c.Compact(r.Context())
+		resps[i], errs[i] = rt.members[i].c.Compact(ctx)
 		return nil
 	})
 	out := client.CompactResponse{}
 	for i, m := range rt.members {
 		if errs[i] != nil {
-			rt.fail(w, rt.memberErr(m, errs[i]))
-			return
+			return client.CompactResponse{}, rt.memberErr(ctx, m, errs[i])
 		}
 		out.Folded += resps[i].Folded
 		out.Generation = max(out.Generation, resps[i].Generation)
 	}
-	rt.reply(w, out)
+	return out, nil
 }
 
-// handleWatch: subscriptions need per-member cursor state the router
-// does not hold; clients subscribe to members directly.
-func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
-	rt.requests.Add(1)
-	rt.fail(w, &routeErr{status: http.StatusNotImplemented, code: client.CodeUnsupported,
-		msg: "watch subscriptions are not routed; subscribe to a member node directly"})
-}
-
-// handleHealthz reports the cluster's aggregate liveness: always 200
-// (the router itself is alive), "degraded" when any member is
-// quarantined or unreachable, with a per-node breakdown.
-func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	rt.requests.Add(1)
+// Health reports the cluster's aggregate liveness: always 200 (the
+// router itself is alive), "degraded" when any member is quarantined or
+// unreachable, with a per-node breakdown.
+func (rt *Router) Health(ctx context.Context) client.Health {
 	resp := client.Health{Status: "ok"}
 	for _, m := range rt.members {
 		nh := client.NodeHealth{Name: m.name, Status: "ok"}
@@ -1012,29 +839,18 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Nodes = append(resp.Nodes, nh)
 	}
-	rt.reply(w, resp)
+	return resp
 }
 
-// handleStats aggregates member stats (fetched live, in parallel) into
-// the single-node shape plus a cluster section, so loadgen and
-// dashboards work unchanged against a router.
-func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	rt.requests.Add(1)
+// Stats aggregates member stats (fetched live, in parallel, refreshing
+// the router's cached view of each member) into the single-node shape
+// plus a cluster section, so loadgen and dashboards work unchanged
+// against a router.
+func (rt *Router) Stats(ctx context.Context) client.StatsResponse {
 	stats := make([]client.StatsResponse, len(rt.members))
 	errs := make([]error, len(rt.members))
 	_ = par.Do(par.Workers(rt.opts.Parallelism), len(rt.members), func(i int) error {
-		stats[i], errs[i] = rt.members[i].c.Stats(r.Context())
-		if errs[i] == nil {
-			m := rt.members[i]
-			m.mu.Lock()
-			m.gen = stats[i].Generation
-			m.trajs = stats[i].Trajectories
-			m.bounds = stats[i].DataBounds
-			m.dirty = false
-			m.statErr = ""
-			m.mu.Unlock()
-			m.heal()
-		}
+		stats[i], errs[i] = rt.refreshMember(ctx, rt.members[i])
 		return nil
 	})
 
@@ -1054,10 +870,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		Bounds:          client.Rect{MinX: 1, MinY: 1, MaxX: 0, MaxY: 0},
 		DataBounds:      client.Rect{MinX: 1, MinY: 1, MaxX: 0, MaxY: 0},
 		Cluster:         &client.ClusterStats{Partitions: rt.place.Partitions(), Holes: holes},
-		Requests:        rt.requests.Load(),
-		Failures:        rt.failures.Load(),
 		DegradedQueries: rt.degraded.Load(),
-		UptimeSeconds:   time.Since(rt.started).Seconds(),
 	}
 	firstSpan := true
 	var ingestAgg client.IngestStats
@@ -1116,7 +929,6 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		out.QuarantinedShards += st.QuarantinedShards
 		out.ShardOpenFailures += st.ShardOpenFailures
 		out.Rejected += st.Rejected
-		out.Timeouts += st.Timeouts
 		out.Watchers += st.Watchers
 		out.WatchNotifies += st.WatchNotifies
 
@@ -1140,7 +952,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	if anyIngest {
 		out.Ingest = &ingestAgg
 	}
-	rt.reply(w, out)
+	return out
 }
 
 // unionRect merges two rectangles, treating the inverted marker as

@@ -3,11 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,6 +20,7 @@ import (
 	"utcq/internal/stiu"
 	"utcq/internal/store"
 	"utcq/internal/traj"
+	"utcq/pkg/client"
 )
 
 // postRaw round-trips a JSON body against a test server and returns the
@@ -284,31 +287,186 @@ func TestWALFaultTripsReadOnlyOverHTTP(t *testing.T) {
 	}
 }
 
-// TestQueryTimeoutAbandonsSlowQueries pins the timed wrapper: a query
-// slower than the budget is dropped with errQueryTimeout (mapped to 504),
-// counted, and a fast query is unaffected.
-func TestQueryTimeoutAbandonsSlowQueries(t *testing.T) {
-	s := &Server{opts: Options{QueryTimeout: 10 * time.Millisecond}}
-	_, err := timed(s, func() (int, error) {
-		time.Sleep(500 * time.Millisecond)
-		return 1, nil
-	})
-	if !errors.Is(err, errQueryTimeout) {
-		t.Fatalf("slow query: got %v, want errQueryTimeout", err)
+// blockFS is the real filesystem, except that the first read of a shard
+// archive parks until release is closed: a shard stuck in slow I/O.
+type blockFS struct {
+	faultfs.FS
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *blockFS) ReadFile(name string) ([]byte, error) {
+	if strings.HasSuffix(name, ".utcq") {
+		b.once.Do(func() {
+			close(b.entered)
+			<-b.release
+		})
 	}
-	if statusFor(err) != http.StatusGatewayTimeout {
-		t.Fatalf("timeout status = %d, want 504", statusFor(err))
+	return b.FS.ReadFile(name)
+}
+
+// TestQueryTimeoutStopsEvaluation pins deadlines by context: a range
+// query whose first shard read outlasts QueryTimeout answers 504
+// timeout and counts one timeout, and — because the deadline is checked
+// before each shard — no other shard is opened or evaluated once the
+// read returns.  A fast query is unaffected, and a negative
+// QueryTimeout disables the budget.
+func TestQueryTimeoutStopsEvaluation(t *testing.T) {
+	p := gen.CD()
+	p.Network.Cols, p.Network.Rows = 24, 24
+	ds, err := gen.Build(p, 20, 7)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.timeouts.Load() != 1 {
-		t.Fatalf("timeout counter = %d, want 1", s.timeouts.Load())
+	sopts := store.DefaultOptions(p.Ts)
+	sopts.NumShards = 3
+	sopts.Index = stiu.Options{GridNX: 16, GridNY: 16, IntervalDur: 1800}
+	built, err := store.Build(ds.Graph, ds.Trajectories, sopts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	v, err := timed(s, func() (int, error) { return 42, nil })
-	if err != nil || v != 42 {
-		t.Fatalf("fast query: %v, %v", v, err)
+	dir := t.TempDir()
+	if err := built.Save(dir); err != nil {
+		t.Fatal(err)
 	}
-	// Disabled budget runs inline.
-	s2 := &Server{opts: Options{QueryTimeout: -1}}
-	if v, err := timed(s2, func() (int, error) { return 7, nil }); err != nil || v != 7 {
-		t.Fatalf("disabled budget: %v, %v", v, err)
+	b := built.Bounds()
+	rr := RangeRequest{Rect: RectJSON{MinX: b.MinX, MinY: b.MinY, MaxX: b.MaxX, MaxY: b.MaxY}, T: ds.Trajectories[0].T[0]}
+
+	// serve opens the saved store lazily behind a fresh blockFS; with
+	// Parallelism 1 the range scatter visits the shards one at a time.
+	serve := func(timeout time.Duration) (*store.Store, *blockFS, *httptest.Server) {
+		fs := &blockFS{FS: faultfs.OS, entered: make(chan struct{}), release: make(chan struct{})}
+		st, err := store.Open(dir, ds.Graph, store.OpenOptions{FS: fs, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(New(st, Options{QueryTimeout: timeout}).Handler())
+		t.Cleanup(ts.Close)
+		return st, fs, ts
+	}
+	// stuckRange posts the range query, holds the first shard read well
+	// past a 20ms budget, then releases it and returns the response.
+	stuckRange := func(ts *httptest.Server, fs *blockFS, out any) int {
+		body, _ := json.Marshal(rr)
+		type result struct {
+			resp *http.Response
+			err  error
+		}
+		done := make(chan result, 1)
+		go func() {
+			resp, err := http.Post(ts.URL+"/v1/range", "application/json", bytes.NewReader(body))
+			done <- result{resp, err}
+		}()
+		<-fs.entered
+		time.Sleep(100 * time.Millisecond)
+		close(fs.release)
+		r := <-done
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		defer r.resp.Body.Close()
+		if err := json.NewDecoder(r.resp.Body).Decode(out); err != nil {
+			t.Fatal(err)
+		}
+		return r.resp.StatusCode
+	}
+
+	st, fs, ts := serve(20 * time.Millisecond)
+	var env ErrorResponse
+	if status := stuckRange(ts, fs, &env); status != http.StatusGatewayTimeout || env.Code != client.CodeTimeout {
+		t.Fatalf("range past its deadline: status %d code %q, want 504 %s", status, env.Code, client.CodeTimeout)
+	}
+	// An evaluation left running past its 504 would open the remaining
+	// shards within this window.
+	time.Sleep(50 * time.Millisecond)
+	if n := st.OpenShards(); n != 1 {
+		t.Fatalf("%d shards open after the timed-out range, want 1: evaluation went on past the deadline", n)
+	}
+	var stats StatsResponse
+	getJSON(t, ts, "/v1/stats", &stats)
+	if stats.Timeouts != 1 {
+		t.Fatalf("timeout counter = %d, want 1", stats.Timeouts)
+	}
+
+	// A fast query on the shard already open answers within the budget.
+	j := 0
+	for st.ShardOf(j) != 0 {
+		j++
+	}
+	T := ds.Trajectories[j].T
+	var where struct {
+		Results []WhereResultJSON `json:"results"`
+	}
+	if resp := postRaw(t, ts, "/v1/where", WhereRequest{Traj: j, T: (T[0] + T[len(T)-1]) / 2}, &where); resp.StatusCode != http.StatusOK {
+		t.Fatalf("fast query: status %d, want 200", resp.StatusCode)
+	}
+	if n := st.OpenShards(); n != 1 {
+		t.Fatalf("fast query on the open shard opened another: %d open", n)
+	}
+
+	// A disabled budget waits out the slow read and evaluates every shard.
+	st, fs, ts = serve(-1)
+	var res RangeResult
+	if status := stuckRange(ts, fs, &res); status != http.StatusOK {
+		t.Fatalf("range without a budget: status %d, want 200", status)
+	}
+	if n := st.OpenShards(); n != 3 {
+		t.Fatalf("range without a budget opened %d of 3 shards", n)
+	}
+}
+
+// TestCompactQuarantineIs503: compaction faults delta shards in, so a
+// quarantined delta shard must answer like every other quarantine — 503
+// shard_quarantined with Retry-After, the status the v1 code table
+// gives that code — not a 500 carrying a 503's code.
+func TestCompactQuarantineIs503(t *testing.T) {
+	p := gen.CD()
+	p.Network.Cols, p.Network.Rows = 24, 24
+	ds, err := gen.Build(p, 24, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sopts := store.DefaultOptions(p.Ts)
+	sopts.NumShards = 2
+	sopts.Index = stiu.Options{GridNX: 16, GridNY: 16, IntervalDur: 1800}
+	built, err := store.Build(ds.Graph, ds.Trajectories[:20], sopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := built.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := built.ApplyDelta(ds.Trajectories[20:], 0); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir, ds.Graph, store.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The delta shard's file vanishes before its lazy open.
+	if err := os.Remove(filepath.Join(dir, fmt.Sprintf("shard-%04d.utcq", st.ShardOf(20)))); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(st, Options{}).Handler())
+	defer ts.Close()
+
+	for attempt := 1; ; attempt++ {
+		var env ErrorResponse
+		resp := postRaw(t, ts, "/v1/compact", struct{}{}, &env)
+		if env.Code != client.CodeShardQuarantined {
+			if attempt == 3 {
+				t.Fatalf("compaction over a missing delta shard never reported the quarantine: status %d, %+v", resp.StatusCode, env)
+			}
+			continue
+		}
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("quarantined delta shard: compact status %d, want 503", resp.StatusCode)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatal("503 should carry Retry-After")
+		}
+		return
 	}
 }

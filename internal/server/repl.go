@@ -15,9 +15,9 @@ import (
 	"strconv"
 	"time"
 
+	"utcq/internal/api"
 	"utcq/internal/ingest"
 	"utcq/internal/store"
-	"utcq/pkg/client"
 )
 
 const (
@@ -47,22 +47,20 @@ const (
 // still lose.  A cursor behind the log's checkpointed start answers 410
 // wal_truncated: the follower must re-snapshot from the manifest.
 func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	if s.ing == nil {
-		err := fmt.Errorf("%w: this node has no WAL to replicate", errIngestDisabled)
-		s.fail(w, statusFor(err), err)
+		s.fe.Fail(w, fmt.Errorf("%w: this node has no WAL to replicate", api.ErrIngestDisabled))
 		return
 	}
 	q := r.URL.Query()
 	from, err := strconv.ParseUint(q.Get("from"), 10, 64)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("%w: from %q is not an unsigned integer", errBadInput, q.Get("from")))
+		s.fe.Fail(w, fmt.Errorf("%w: from %q is not an unsigned integer", api.ErrBadRequest, q.Get("from")))
 		return
 	}
 	maxRecs := replDefaultMax
 	if v := q.Get("max"); v != "" {
 		if maxRecs, err = strconv.Atoi(v); err != nil || maxRecs < 1 {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("%w: max %q is not a positive integer", errBadInput, v))
+			s.fe.Fail(w, fmt.Errorf("%w: max %q is not a positive integer", api.ErrBadRequest, v))
 			return
 		}
 	}
@@ -70,7 +68,7 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("wait"); v != "" {
 		secs, err := strconv.Atoi(v)
 		if err != nil || secs < 0 {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("%w: wait %q is not a non-negative integer", errBadInput, v))
+			s.fe.Fail(w, fmt.Errorf("%w: wait %q is not a non-negative integer", api.ErrBadRequest, v))
 			return
 		}
 		wait = min(time.Duration(secs)*time.Second, replMaxWait)
@@ -85,7 +83,7 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 	var batch ingest.ShipBatch
 	for {
 		if batch, err = s.ing.ShipFrom(from, maxRecs); err != nil {
-			s.fail(w, statusFor(err), err)
+			s.fe.Fail(w, err)
 			return
 		}
 		if len(batch.Records) > 0 || !time.Now().Before(deadline) {
@@ -98,14 +96,10 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 		case <-time.After(replPollEvery):
 		}
 	}
-	body := ingest.EncodeFrames(batch.Records, batch.Version)
-	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(headerWALVersion, strconv.Itoa(int(batch.Version)))
 	w.Header().Set(headerWALFrom, strconv.FormatUint(batch.From, 10))
 	w.Header().Set(headerWALCount, strconv.Itoa(len(batch.Records)))
-	if _, err := w.Write(body); err != nil {
-		s.failures.Add(1)
-	}
+	s.fe.ReplyBytes(w, ingest.EncodeFrames(batch.Records, batch.Version))
 }
 
 // handleReplManifest serves the store's current manifest bytes — the
@@ -113,16 +107,12 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 // (store.ParseManifestInfo) for the generation, the WAL position the
 // artifacts embody, and the artifact list to fetch.
 func (s *Server) handleReplManifest(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	data, err := s.st.ReadArtifact(store.ManifestName)
 	if err != nil {
-		s.fail(w, statusFor(err), err)
+		s.fe.Fail(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if _, err := w.Write(data); err != nil {
-		s.failures.Add(1)
-	}
+	s.fe.ReplyBytes(w, data)
 }
 
 // handleReplFile serves one store artifact by name.  Names outside the
@@ -131,26 +121,20 @@ func (s *Server) handleReplManifest(w http.ResponseWriter, r *http.Request) {
 // but is gone now was garbage-collected by a compaction — 404
 // not_found tells the follower to refetch the manifest and start over.
 func (s *Server) handleReplFile(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	name := r.PathValue("name")
 	if !store.IsArtifactName(name) {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("%w: %q is not a store artifact name", errBadInput, name))
+		s.fe.Fail(w, fmt.Errorf("%w: %q is not a store artifact name", api.ErrBadRequest, name))
 		return
 	}
 	data, err := s.st.ReadArtifact(name)
+	if errors.Is(err, os.ErrNotExist) {
+		// Not a shard-open failure (those stay 500 on the query path):
+		// the follower asked for a file a newer manifest no longer has.
+		err = fmt.Errorf("%w: %w", api.ErrNotFound, err)
+	}
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			// Not a shard-open failure (those stay 500 on the query
-			// path): the follower asked for a file a newer manifest no
-			// longer has.
-			s.failWith(w, http.StatusNotFound, client.CodeNotFound, err)
-			return
-		}
-		s.fail(w, statusFor(err), err)
+		s.fe.Fail(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if _, err := w.Write(data); err != nil {
-		s.failures.Add(1)
-	}
+	s.fe.ReplyBytes(w, data)
 }

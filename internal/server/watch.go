@@ -26,6 +26,7 @@ import (
 	"strconv"
 	"time"
 
+	"utcq/internal/api"
 	"utcq/internal/roadnet"
 	"utcq/internal/store"
 	"utcq/pkg/client"
@@ -62,7 +63,7 @@ type watchRequest struct {
 }
 
 // parseWatchRequest decodes and validates the query parameters of
-// /v1/watch/range.  All failures are errBadInput (400).
+// /v1/watch/range.  All failures are api.ErrBadRequest (400).
 func parseWatchRequest(r *http.Request) (watchRequest, error) {
 	q := r.URL.Query()
 	var req watchRequest
@@ -70,14 +71,14 @@ func parseWatchRequest(r *http.Request) (watchRequest, error) {
 	f := func(key string) (float64, error) {
 		s := q.Get(key)
 		if s == "" {
-			return 0, fmt.Errorf("%w: missing required parameter %q", errBadInput, key)
+			return 0, fmt.Errorf("%w: missing required parameter %q", api.ErrBadRequest, key)
 		}
 		v, err := strconv.ParseFloat(s, 64)
 		if err != nil {
-			return 0, fmt.Errorf("%w: %s=%q is not a number", errBadInput, key, s)
+			return 0, fmt.Errorf("%w: %s=%q is not a number", api.ErrBadRequest, key, s)
 		}
 		if v != v || v > 1e308 || v < -1e308 {
-			return 0, fmt.Errorf("%w: %s=%q is not finite", errBadInput, key, s)
+			return 0, fmt.Errorf("%w: %s=%q is not finite", api.ErrBadRequest, key, s)
 		}
 		return v, nil
 	}
@@ -95,30 +96,30 @@ func parseWatchRequest(r *http.Request) (watchRequest, error) {
 		return req, err
 	}
 	if req.re.MinX > req.re.MaxX || req.re.MinY > req.re.MaxY {
-		return req, fmt.Errorf("%w: empty rectangle [%g,%g]x[%g,%g]", errBadInput, req.re.MinX, req.re.MaxX, req.re.MinY, req.re.MaxY)
+		return req, fmt.Errorf("%w: empty rectangle [%g,%g]x[%g,%g]", api.ErrBadRequest, req.re.MinX, req.re.MaxX, req.re.MinY, req.re.MaxY)
 	}
 	ts := q.Get("t")
 	if ts == "" {
-		return req, fmt.Errorf("%w: missing required parameter %q", errBadInput, "t")
+		return req, fmt.Errorf("%w: missing required parameter %q", api.ErrBadRequest, "t")
 	}
 	if req.t, err = strconv.ParseInt(ts, 10, 64); err != nil {
-		return req, fmt.Errorf("%w: t=%q is not an integer", errBadInput, ts)
+		return req, fmt.Errorf("%w: t=%q is not an integer", api.ErrBadRequest, ts)
 	}
 	if as := q.Get("alpha"); as != "" {
 		if req.alpha, err = strconv.ParseFloat(as, 64); err != nil || req.alpha != req.alpha || req.alpha < 0 || req.alpha > 1 {
-			return req, fmt.Errorf("%w: alpha=%q is not in [0, 1]", errBadInput, as)
+			return req, fmt.Errorf("%w: alpha=%q is not in [0, 1]", api.ErrBadRequest, as)
 		}
 	}
 	if gs := q.Get("gen"); gs != "" {
 		if req.gen, err = strconv.ParseUint(gs, 10, 64); err != nil {
-			return req, fmt.Errorf("%w: gen=%q is not an unsigned integer", errBadInput, gs)
+			return req, fmt.Errorf("%w: gen=%q is not an unsigned integer", api.ErrBadRequest, gs)
 		}
 		req.hasGen = true
 	}
 	if cs := q.Get("cursor"); cs != "" {
 		c, err := strconv.ParseUint(cs, 10, 32)
 		if err != nil {
-			return req, fmt.Errorf("%w: cursor=%q is not a 32-bit unsigned integer", errBadInput, cs)
+			return req, fmt.Errorf("%w: cursor=%q is not a 32-bit unsigned integer", api.ErrBadRequest, cs)
 		}
 		req.cursor = uint32(c)
 	}
@@ -127,13 +128,13 @@ func parseWatchRequest(r *http.Request) (watchRequest, error) {
 	case "1", "true", "sse":
 		req.stream = true
 	default:
-		return req, fmt.Errorf("%w: stream=%q (want 1, true or sse)", errBadInput, v)
+		return req, fmt.Errorf("%w: stream=%q (want 1, true or sse)", api.ErrBadRequest, v)
 	}
 	req.wait = watchDefaultWait
 	if ws := q.Get("timeout"); ws != "" {
 		secs, err := strconv.ParseUint(ws, 10, 32)
 		if err != nil {
-			return req, fmt.Errorf("%w: timeout=%q is not a number of seconds", errBadInput, ws)
+			return req, fmt.Errorf("%w: timeout=%q is not a number of seconds", api.ErrBadRequest, ws)
 		}
 		req.wait = time.Duration(secs) * time.Second
 		if req.wait > watchMaxWait {
@@ -204,10 +205,9 @@ func (s *Server) watchOnce(r *http.Request, req watchRequest) (WatchResponse, er
 
 // handleWatchRange serves GET /v1/watch/range.
 func (s *Server) handleWatchRange(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	req, err := parseWatchRequest(r)
 	if err != nil {
-		s.fail(w, statusFor(err), err)
+		s.fe.Fail(w, err)
 		return
 	}
 	s.watchers.Add(1)
@@ -225,10 +225,10 @@ func (s *Server) handleWatchRange(w http.ResponseWriter, r *http.Request) {
 		if r.Context().Err() != nil {
 			return // client went away; nothing to answer
 		}
-		s.fail(w, statusFor(err), err)
+		s.fe.Fail(w, err)
 		return
 	}
-	s.reply(w, resp)
+	s.fe.Reply(w, resp)
 }
 
 // watchSSE streams updates as Server-Sent Events: one "update" event per

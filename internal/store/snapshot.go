@@ -15,6 +15,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -155,14 +156,16 @@ func (sn Snapshot) When(j int, loc roadnet.Position, alpha float64) ([]query.Whe
 
 // Range answers the probabilistic range query at this generation.
 func (sn Snapshot) Range(re roadnet.Rect, t int64, alpha float64) ([]int, error) {
-	out, _, err := sn.s.rangeView(sn.v, re, t, alpha, false, 0)
+	out, _, err := sn.s.rangeView(context.Background(), sn.v, re, t, alpha, false, 0)
 	return out, err
 }
 
 // RangeDegraded is Range with quarantined shards skipped; the second
 // return value counts the shards not consulted (see Store.RangeDegraded).
-func (sn Snapshot) RangeDegraded(re roadnet.Rect, t int64, alpha float64) ([]int, int, error) {
-	return sn.s.rangeView(sn.v, re, t, alpha, true, 0)
+// ctx is checked before each shard, so a query past its deadline stops
+// evaluating and returns ctx.Err().
+func (sn Snapshot) RangeDegraded(ctx context.Context, re roadnet.Rect, t int64, alpha float64) ([]int, int, error) {
+	return sn.s.rangeView(ctx, sn.v, re, t, alpha, true, 0)
 }
 
 // RangeSince answers the range query consulting only shards with id >=
@@ -175,6 +178,6 @@ func (sn Snapshot) RangeDegraded(re roadnet.Rect, t int64, alpha float64) ([]int
 // the full Range at H.  TestWatchMatchesFullRequery pins this identity
 // under live ingest and compaction.
 func (sn Snapshot) RangeSince(since uint32, re roadnet.Rect, t int64, alpha float64) ([]int, error) {
-	out, _, err := sn.s.rangeView(sn.v, re, t, alpha, false, since)
+	out, _, err := sn.s.rangeView(context.Background(), sn.v, re, t, alpha, false, since)
 	return out, err
 }

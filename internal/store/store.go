@@ -34,6 +34,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -619,7 +620,7 @@ func (s *Store) When(j int, loc roadnet.Position, alpha float64) ([]query.WhenRe
 // Under spatial assignment small rectangles touch few shards; under hash
 // assignment the bounds overlap and every shard is queried.
 func (s *Store) Range(re roadnet.Rect, t int64, alpha float64) ([]int, error) {
-	out, _, err := s.rangeView(s.v.Load(), re, t, alpha, false, 0)
+	out, _, err := s.rangeView(context.Background(), s.v.Load(), re, t, alpha, false, 0)
 	return out, err
 }
 
@@ -629,7 +630,7 @@ func (s *Store) Range(re roadnet.Rect, t int64, alpha float64) ([]int, error) {
 // consulted (0 means the result is complete).  Servers use it to keep
 // answering range queries — flagged degraded — while a shard is broken.
 func (s *Store) RangeDegraded(re roadnet.Rect, t int64, alpha float64) ([]int, int, error) {
-	return s.rangeView(s.v.Load(), re, t, alpha, true, 0)
+	return s.rangeView(context.Background(), s.v.Load(), re, t, alpha, true, 0)
 }
 
 // rangeView runs the scatter-gather range query against one specific view
@@ -638,11 +639,16 @@ func (s *Store) RangeDegraded(re roadnet.Rect, t int64, alpha float64) ([]int, i
 // re-evaluation path of watch subscriptions (Snapshot.RangeSince): shard
 // ids are monotonic, so everything older than a recorded watermark is
 // already in the subscriber's hands and need not be consulted again.
-func (s *Store) rangeView(v *view, re roadnet.Rect, t int64, alpha float64, skipQuarantined bool, sinceID uint32) ([]int, int, error) {
+// ctx is checked before each shard: once it is done no further shard is
+// opened or evaluated and the query returns ctx.Err().
+func (s *Store) rangeView(ctx context.Context, v *view, re roadnet.Rect, t int64, alpha float64, skipQuarantined bool, sinceID uint32) ([]int, int, error) {
 	gs := s.getGather(len(v.shards))
 	defer s.putGather(gs)
 	var skipped atomic.Int32
 	err := par.Do(par.Workers(s.opts.Parallelism), len(v.shards), func(slot int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		sh := v.shards[slot]
 		if sh == nil {
 			return nil // tombstoned entry
